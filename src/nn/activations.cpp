@@ -4,26 +4,35 @@
 
 namespace cip::nn {
 
+namespace {
+
+/// y = max(x, 0) over `n` elements; also writes the 0/1 gradient mask when
+/// `mask` is non-null (training needs it for Backward). Shared by Forward and
+/// EvalForward so the two paths are the same arithmetic (bit-identity).
+void ReluInto(const float* px, float* py, float* mask, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) py[i] = px[i] > 0.0f ? px[i] : 0.0f;
+  if (mask == nullptr) return;
+  for (std::size_t i = 0; i < n; ++i) mask[i] = px[i] > 0.0f ? 1.0f : 0.0f;
+}
+
+}  // namespace
+
 Tensor ReLU::Forward(const Tensor& x, bool train) {
   Tensor y(x.shape());
-  Tensor mask(x.shape());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const bool pos = x[i] > 0.0f;
-    y[i] = pos ? x[i] : 0.0f;
-    mask[i] = pos ? 1.0f : 0.0f;
+  if (!train) {
+    ReluInto(x.data(), y.data(), nullptr, x.size());
+    return y;
   }
-  if (train) cached_masks_.push(std::move(mask));
+  Tensor mask(x.shape());
+  ReluInto(x.data(), y.data(), mask.data(), x.size());
+  cached_masks_.push(std::move(mask));
   return y;
 }
 
 // CIP_HOT  (serve-path activation: scratch-buffer reuse, no mask)
 const Tensor& ReLU::EvalForward(const Tensor& x) {
   EnsureShape(eval_out_, x.shape());
-  const float* px = x.data();
-  float* py = eval_out_.data();
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    py[i] = px[i] > 0.0f ? px[i] : 0.0f;
-  }
+  ReluInto(x.data(), eval_out_.data(), nullptr, x.size());
   return eval_out_;
 }
 

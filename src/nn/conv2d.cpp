@@ -26,28 +26,25 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
   HeNormal(w_.value, ic_ * k_ * k_, rng);
 }
 
-// CIP_HOT  (eval conv forward: one output allocation, zero scratch)
-Tensor Conv2d::ForwardGemm(const Tensor& x, std::size_t n, std::size_t oh,
-                           std::size_t ow) {
-  // CIP_ANALYZE_OK(hot-alloc-tensor): the returned output - the one allocation eval forward permits (test_alloc_free)
-  Tensor y;
-  ForwardGemmInto(x, n, oh, ow, y);
-  return y;
+Conv2d::Saved& Conv2d::FreeSlot() {
+  // CIP_ANALYZE_OK(hot-alloc-container): grow-once — the slot list grows to the deepest forward stack the layer has seen, then is reused
+  if (depth_ == saved_.size()) saved_.emplace_back();
+  return saved_[depth_];
 }
 
-// CIP_HOT  (serve-path conv core: writes into caller-owned output scratch)
+// CIP_HOT  (conv core: writes into caller-owned lowering and output scratch)
 void Conv2d::ForwardGemmInto(const Tensor& x, std::size_t n, std::size_t oh,
-                             std::size_t ow, Tensor& y) {
+                             std::size_t ow, Tensor& col, Tensor& y) {
   const std::size_t h = x.dim(2), w = x.dim(3);
   const ops::Conv2dGeom geom = Geom(h, w);
   const std::size_t rows = n * oh * ow;
   const std::size_t patch = geom.PatchSize();
-  EnsureShape(col_, {rows, patch});
+  EnsureShape(col, {rows, patch});
   // Pointers hoisted out of the parallel region: a non-const data() bumps the
   // tensor's version counter, which must not happen concurrently (tensor.h).
   {
     const float* px_all = x.data();
-    float* pcol = col_.data();
+    float* pcol = col.data();
     ParallelFor(0, n, [&](std::size_t i) {
       ops::Im2ColInto(px_all + i * ic_ * h * w, geom,
                       pcol + i * oh * ow * patch);
@@ -63,9 +60,9 @@ void Conv2d::ForwardGemmInto(const Tensor& x, std::size_t n, std::size_t oh,
       ops::PackBForMatmulTransBInto(w_.value, packed_w_);
       packed_w_version_ = w_.value.version();
     }
-    ops::MatmulPackedInto(col_, packed_w_, gemm_y_);  // [rows, oc]
+    ops::MatmulPackedInto(col, packed_w_, gemm_y_);  // [rows, oc]
   } else {
-    ops::MatmulTransBInto(col_, w_.value, gemm_y_);  // [rows, oc]
+    ops::MatmulTransBInto(col, w_.value, gemm_y_);  // [rows, oc]
   }
   // Scatter [N·OH·OW, OC] back to NCHW and add the bias.
   EnsureShape(y, {n, oc_, oh, ow});
@@ -131,9 +128,22 @@ Tensor Conv2d::Forward(const Tensor& x, bool train) {
   const std::size_t oh = OutExtent(h), ow = OutExtent(w);
   CIP_DCHECK_GT(oh, 0u);
   CIP_DCHECK_GT(ow, 0u);
-  Tensor y = NaiveConvEnabled() ? ForwardNaive(x, n, oh, ow)
-                                : ForwardGemm(x, n, oh, ow);
-  if (train) cached_inputs_.push(x);
+  const bool naive = NaiveConvEnabled();
+  Saved& slot = FreeSlot();
+  Tensor y;
+  if (naive) {
+    y = ForwardNaive(x, n, oh, ow);
+    if (train) slot.buf = x;
+  } else {
+    ForwardGemmInto(x, n, oh, ow, slot.buf, y);
+  }
+  if (train) {
+    slot.n = n;
+    slot.h = h;
+    slot.w = w;
+    slot.lowered = !naive;
+    ++depth_;
+  }
   return y;
 }
 
@@ -149,17 +159,19 @@ const Tensor& Conv2d::EvalForward(const Tensor& x) {
     // Reference path: correctness over speed, allocates like Forward.
     eval_out_ = ForwardNaive(x, n, oh, ow);
   } else {
-    ForwardGemmInto(x, n, oh, ow, eval_out_);
+    ForwardGemmInto(x, n, oh, ow, FreeSlot().buf, eval_out_);
   }
   return eval_out_;
 }
 
-Tensor Conv2d::BackwardGemm(const Tensor& x, const Tensor& grad_out) {
-  const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
+Tensor Conv2d::BackwardGemm(Saved& s, const Tensor& grad_out) {
+  const std::size_t n = s.n, h = s.h, w = s.w;
   const ops::Conv2dGeom geom = Geom(h, w);
   const std::size_t oh = geom.OutH(), ow = geom.OutW();
   const std::size_t rows = n * oh * ow;
   const std::size_t patch = geom.PatchSize();
+  Tensor& col = s.buf;
+  CIP_DCHECK(col.shape() == Shape({rows, patch}));
 
   // grad_out [N, OC, OH, OW] -> gy_ [N·OH·OW, OC] (the GEMM layout).
   EnsureShape(gy_, {rows, oc_});
@@ -178,32 +190,18 @@ Tensor Conv2d::BackwardGemm(const Tensor& x, const Tensor& grad_out) {
   // Bias gradient: column sums of gy_, accumulated without a temporary.
   ops::SumRowsAccumInto(gy_, b_.grad);
 
-  // Recompute the batched lowering of x. The col_ scratch cannot be trusted
-  // to still hold it: the dual-channel model runs forward(ch1), forward(ch2)
-  // and then backs them out LIFO, so by the time ch1's Backward runs, col_
-  // holds ch2's lowering.
-  EnsureShape(col_, {rows, patch});
-  {
-    // Hoisted for the same version-counter reason as in ForwardGemm.
-    const float* px_all = x.data();
-    float* pcol = col_.data();
-    ParallelFor(0, n, [&](std::size_t i) {
-      ops::Im2ColInto(px_all + i * ic_ * h * w, geom,
-                      pcol + i * oh * ow * patch);
-    });
-  }
-
-  // Weight gradient: dW = gyᵀ · col, one GEMM for the whole batch.
+  // Weight gradient: dW = gyᵀ · col, one GEMM for the whole batch, from the
+  // lowering the matching Forward saved.
   EnsureShape(dw_, {oc_, patch});
-  ops::MatmulTransAInto(gy_, col_, dw_);
+  ops::MatmulTransAInto(gy_, col, dw_);
   ops::AddInPlace(w_.grad, dw_);
 
-  // Input gradient: back to column space with one GEMM, then scatter-add.
-  EnsureShape(dcol_, {rows, patch});
-  ops::MatmulInto(gy_, w_.value, dcol_);
+  // Input gradient: back to column space with one GEMM, written over the
+  // lowering (dead after dW), then scatter-add.
+  ops::MatmulInto(gy_, w_.value, col);
   Tensor dx({n, ic_, h, w});
   {
-    const float* pdcol = std::as_const(dcol_).data();
+    const float* pdcol = std::as_const(col).data();
     float* pdx = dx.data();
     ParallelFor(0, n, [&](std::size_t i) {
       ops::Col2ImInto(pdcol + i * oh * ow * patch, geom,
@@ -260,16 +258,13 @@ Tensor Conv2d::BackwardNaive(const Tensor& x, const Tensor& grad_out) {
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_out) {
-  CIP_CHECK_MSG(!cached_inputs_.empty(), name_ << ": backward without forward");
-  const Tensor x = std::move(cached_inputs_.top());
-  cached_inputs_.pop();
-  const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  CIP_CHECK_EQ(grad_out.dim(0), n);
+  CIP_CHECK_MSG(depth_ > 0, name_ << ": backward without forward");
+  Saved& s = saved_[--depth_];
+  CIP_CHECK_EQ(grad_out.dim(0), s.n);
   CIP_CHECK_EQ(grad_out.dim(1), oc_);
-  CIP_CHECK_EQ(grad_out.dim(2), OutExtent(h));
-  CIP_CHECK_EQ(grad_out.dim(3), OutExtent(w));
-  return NaiveConvEnabled() ? BackwardNaive(x, grad_out)
-                            : BackwardGemm(x, grad_out);
+  CIP_CHECK_EQ(grad_out.dim(2), OutExtent(s.h));
+  CIP_CHECK_EQ(grad_out.dim(3), OutExtent(s.w));
+  return s.lowered ? BackwardGemm(s, grad_out) : BackwardNaive(s.buf, grad_out);
 }
 
 void Conv2d::CollectParameters(std::vector<Parameter*>& out) {
@@ -277,8 +272,6 @@ void Conv2d::CollectParameters(std::vector<Parameter*>& out) {
   out.push_back(&b_);
 }
 
-void Conv2d::ClearCache() {
-  while (!cached_inputs_.empty()) cached_inputs_.pop();
-}
+void Conv2d::ClearCache() { depth_ = 0; }
 
 }  // namespace cip::nn

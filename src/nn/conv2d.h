@@ -3,25 +3,28 @@
 //
 // Two implementations share one layer:
 //  * GEMM path (default, fast): the whole batch is lowered with
-//    ops::Im2ColInto into a per-layer scratch matrix, the convolution runs as
-//    one cache-blocked GEMM (ops::MatmulTransBInto against the [OC, C·K·K]
-//    weight), and the backward pass reuses the same lowering for dW
-//    (MatmulTransA), dX (Matmul + Col2Im) and db. Scratch buffers are layer
-//    members reused across steps — steady-state training does no per-call
-//    allocation beyond the returned output tensor.
+//    ops::Im2ColInto into a per-layer lowering buffer, the convolution runs
+//    as one cache-blocked GEMM (ops::MatmulTransBInto against the [OC, C·K·K]
+//    weight), and a training forward keeps that lowering for its own
+//    Backward: dW = gyᵀ·col (MatmulTransA), then dcol = gy·W overwrites the
+//    now-dead lowering and Col2Im scatters it into dX; db is the column sum of
+//    gy. Lowering buffers and the other scratch tensors are layer members
+//    reused across steps — steady-state training allocates only the returned
+//    output and dX.
 //  * Naive path (reference): direct six-nested-loop convolution, selected by
 //    the CIP_NAIVE_CONV=1 environment variable (see src/common/env.h) or
-//    internal::SetNaiveConvForTesting. tests/test_conv_parity.cpp holds the
-//    two paths to agreement within 1e-5.
+//    internal::SetNaiveConvForTesting. Its training forward keeps a copy of
+//    x. tests/test_conv_parity.cpp holds the two paths to agreement within
+//    1e-5.
 //
 // Threading: Forward/Backward parallelize internally with ParallelFor
 // (samples for the lowering/scatter, row blocks inside the GEMM). A Conv2d
-// instance is NOT safe to call from two threads at once — the activation
-// stack and the scratch buffers are per-instance state. Distinct instances
-// are independent.
+// instance is NOT safe to call from two threads at once — the forward stack
+// and the scratch buffers are per-instance state. Distinct instances are
+// independent.
 #pragma once
 
-#include <stack>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/module.h"
@@ -38,10 +41,12 @@ class Conv2d : public Module {
          Rng& rng, std::string name = "conv");
 
   /// x: [N, in_channels, H, W] -> [N, out_channels, OutH, OutW]. When
-  /// `train`, pushes x on the activation stack for the matching Backward.
+  /// `train`, pushes what the matching Backward needs (the lowering of x on
+  /// the GEMM path, a copy of x on the naive path) on the forward stack.
   Tensor Forward(const Tensor& x, bool train) override;
   /// grad_out: [N, out_channels, OutH, OutW] -> gradient w.r.t. the matching
-  /// Forward's input; accumulates into the weight/bias .grad tensors.
+  /// Forward's input; accumulates into the weight/bias .grad tensors. Runs
+  /// the path that Forward ran, whatever CIP_NAIVE_CONV says now.
   Tensor Backward(const Tensor& grad_out) override;
   /// Inference forward into the persistent eval buffer: same GEMM core as
   /// Forward (bit-identical), zero allocations once the scratch is warm.
@@ -65,27 +70,46 @@ class Conv2d : public Module {
     return {ic_, h, w, k_, stride_, pad_};
   }
 
-  Tensor ForwardGemm(const Tensor& x, std::size_t n, std::size_t oh,
-                     std::size_t ow);
+  /// What one training Forward leaves for its Backward: on the GEMM path
+  /// `buf` is the batched lowering of x ([N·OH·OW, C·K·K]), on the naive
+  /// path a copy of x (`lowered` tells which).
+  struct Saved {
+    Tensor buf;
+    std::size_t n = 0, h = 0, w = 0;
+    bool lowered = false;
+  };
+
+  /// saved_[depth_]: the first slot above the pending forwards, created on
+  /// first use.
+  Saved& FreeSlot();
+
   void ForwardGemmInto(const Tensor& x, std::size_t n, std::size_t oh,
-                       std::size_t ow, Tensor& y);
+                       std::size_t ow, Tensor& col, Tensor& y);
   Tensor ForwardNaive(const Tensor& x, std::size_t n, std::size_t oh,
                       std::size_t ow) const;
-  Tensor BackwardGemm(const Tensor& x, const Tensor& grad_out);
+  Tensor BackwardGemm(Saved& s, const Tensor& grad_out);
   Tensor BackwardNaive(const Tensor& x, const Tensor& grad_out);
 
   std::size_t ic_, oc_, k_, stride_, pad_;
   std::string name_;
   Parameter w_;  // [OC, IC*K*K]
   Parameter b_;  // [OC]
-  std::stack<Tensor> cached_inputs_;
+
+  // The forward stack: saved_[0, depth_) belong to the pending training
+  // forwards, newest last. Backward pops the top slot and ClearCache empties
+  // the stack; both keep the slots' buffers for reuse. An eval forward lowers
+  // into FreeSlot() without pushing. So the layer holds one lowering buffer
+  // per forward pending at once, plus one for an eval run while the stack is
+  // at its deepest: two in the dual-channel order (fwd ch1, fwd ch2, bwd ch2,
+  // bwd ch1) with evals run before or after it.
+  std::vector<Saved> saved_;
+  std::size_t depth_ = 0;
 
   // GEMM-path scratch, reused across steps (reallocated only on shape
-  // change). col_: [N·OH·OW, IC·K·K] batched im2col; gemm_y_: [N·OH·OW, OC]
-  // forward product; gy_: [N·OH·OW, OC] grad_out in row-major GEMM layout;
-  // dcol_: [N·OH·OW, IC·K·K] column-space input gradient; dw_: [OC, IC·K·K]
-  // per-call weight gradient before accumulation.
-  Tensor col_, gemm_y_, gy_, dcol_, dw_;
+  // change). gemm_y_: [N·OH·OW, OC] forward product; gy_: [N·OH·OW, OC]
+  // grad_out in row-major GEMM layout; dw_: [OC, IC·K·K] per-call weight
+  // gradient before accumulation.
+  Tensor gemm_y_, gy_, dw_;
 
   // Forward weight pre-packed for the blocked GEMM, rebuilt only when
   // w_.value.version() moves (i.e. after an optimizer step) or when the

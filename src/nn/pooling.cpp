@@ -145,9 +145,13 @@ Tensor MaxPool2d::Forward(const Tensor& x, bool train) {
   CIP_CHECK_EQ(w % window_, 0u);
   const std::size_t oh = h / window_, ow = w / window_;
   Tensor y({n, c, oh, ow});
+  if (!train) {
+    MaxPoolInto(x.data(), y.data(), nullptr, n * c, h, w, window_);
+    return y;
+  }
   Cache cache{x.shape(), std::vector<std::size_t>(n * c * oh * ow)};
   MaxPoolInto(x.data(), y.data(), cache.argmax.data(), n * c, h, w, window_);
-  if (train) cache_.push(std::move(cache));
+  cache_.push(std::move(cache));
   return y;
 }
 

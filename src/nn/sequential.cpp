@@ -5,8 +5,10 @@
 namespace cip::nn {
 
 Tensor Sequential::Forward(const Tensor& x, bool train) {
-  Tensor h = x;
-  for (auto& child : children_) h = child->Forward(h, train);
+  if (children_.empty()) return x;
+  auto it = children_.begin();
+  Tensor h = (*it)->Forward(x, train);
+  for (++it; it != children_.end(); ++it) h = (*it)->Forward(h, train);
   return h;
 }
 
@@ -18,10 +20,10 @@ const Tensor& Sequential::EvalForward(const Tensor& x) {
 }
 
 Tensor Sequential::Backward(const Tensor& grad_out) {
-  Tensor g = grad_out;
-  for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
-    g = (*it)->Backward(g);
-  }
+  if (children_.empty()) return grad_out;
+  auto it = children_.rbegin();
+  Tensor g = (*it)->Backward(grad_out);
+  for (++it; it != children_.rend(); ++it) g = (*it)->Backward(g);
   return g;
 }
 

@@ -439,6 +439,47 @@ void CheckGeom(const Conv2dGeom& g) {
   CIP_CHECK_GE(g.width + 2 * g.pad, g.kernel);
 }
 
+// The one kernel extent with a check-free interior path: every backbone conv
+// is 3×3. A loop over a kernel extent known only at run time was measured
+// slower than the per-tap checks it replaces, so other extents keep those.
+constexpr std::size_t kInteriorKernel = 3;
+
+/// True when every tap of output position `o`, along an axis of input
+/// extent `in`, lands inside the image and the kernel extent is
+/// kInteriorKernel.
+bool InteriorTaps(std::size_t o, std::size_t in, const Conv2dGeom& g) {
+  return g.kernel == kInteriorKernel && o * g.stride >= g.pad &&
+         o * g.stride + g.kernel <= in + g.pad;
+}
+
+/// Lower one interior output position: copy the kInteriorKernel² taps of
+/// each channel, starting at `px` (the top-left tap of channel 0), into
+/// `crow` in C-major, then ky, then kx order.
+void LowerInterior(const float* px, std::size_t channels, std::size_t plane,
+                   std::size_t w, float* crow) {
+  constexpr std::size_t k = kInteriorKernel;
+  for (std::size_t c = 0; c < channels; ++c, px += plane, crow += k * k) {
+    for (std::size_t ky = 0; ky < k; ++ky) {
+      for (std::size_t kx = 0; kx < k; ++kx) {
+        crow[ky * k + kx] = px[ky * w + kx];
+      }
+    }
+  }
+}
+
+/// Adjoint of LowerInterior: add one interior row back onto its taps.
+void ScatterInterior(const float* crow, std::size_t channels,
+                     std::size_t plane, std::size_t w, float* px) {
+  constexpr std::size_t k = kInteriorKernel;
+  for (std::size_t c = 0; c < channels; ++c, px += plane, crow += k * k) {
+    for (std::size_t ky = 0; ky < k; ++ky) {
+      for (std::size_t kx = 0; kx < k; ++kx) {
+        px[ky * w + kx] += crow[ky * k + kx];
+      }
+    }
+  }
+}
+
 }  // namespace
 
 // CIP_HOT  (per-sample im2col body, runs inside ParallelFor)
@@ -450,15 +491,21 @@ void Im2ColInto(const float* x_sample, const Conv2dGeom& g, float* col_rows) {
   const float* px = x_sample;
   float* pc = col_rows;
   for (std::size_t oy = 0; oy < oh; ++oy) {
+    const bool row_inside = InteriorTaps(oy, h, g);
     for (std::size_t ox = 0; ox < ow; ++ox) {
       float* crow = pc + (oy * ow + ox) * cols;
+      if (row_inside && InteriorTaps(ox, w, g)) {
+        LowerInterior(
+            px + ((oy * g.stride - g.pad) * w + (ox * g.stride - g.pad)),
+            g.in_channels, h * w, w, crow);
+        continue;
+      }
       for (std::size_t c = 0; c < g.in_channels; ++c) {
         for (std::size_t ky = 0; ky < k; ++ky) {
           const long iy =
               static_cast<long>(oy * g.stride + ky) - static_cast<long>(g.pad);
-          // Whole kernel row in one go when it is fully inside the image —
-          // the common interior case — with the zero-padding boundary handled
-          // tap by tap otherwise.
+          // A kernel row outside the image is zero-filled in one go; the
+          // zero-padding boundary within a row is handled tap by tap.
           float* drow = crow + c * k * k + ky * k;
           if (iy < 0 || iy >= static_cast<long>(h)) {
             for (std::size_t kx = 0; kx < k; ++kx) drow[kx] = 0.0f;
@@ -510,9 +557,18 @@ void Col2ImInto(const float* col_rows, const Conv2dGeom& g, float* dx_sample) {
   const std::size_t cols = g.PatchSize();
   float* px = dx_sample;
   const float* pc = col_rows;
+  // Positions run in ascending (oy, ox) order on both paths, so every dx
+  // element accumulates its contributions in the same order.
   for (std::size_t oy = 0; oy < oh; ++oy) {
+    const bool row_inside = InteriorTaps(oy, h, g);
     for (std::size_t ox = 0; ox < ow; ++ox) {
       const float* crow = pc + (oy * ow + ox) * cols;
+      if (row_inside && InteriorTaps(ox, w, g)) {
+        ScatterInterior(
+            crow, g.in_channels, h * w, w,
+            px + ((oy * g.stride - g.pad) * w + (ox * g.stride - g.pad)));
+        continue;
+      }
       for (std::size_t c = 0; c < g.in_channels; ++c) {
         for (std::size_t ky = 0; ky < k; ++ky) {
           const long iy =

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -167,28 +168,50 @@ TEST(AllocFree, LinearSteadyStateAllocatesOnlyTheOutput) {
 
 TEST(AllocFree, TrainStepSteadyStateAllocationIsBounded) {
   // Full forward/backward keeps per-call allocations to the tensors handed
-  // across the Module API (outputs, dx, the cached-input copy) — a small
-  // constant, not proportional to depth times scratch count. Measure one
-  // steady-state step and pin the budget.
+  // across the Module API: each forward's output and each backward's dx. The
+  // lowering a forward keeps for its backward reuses the layer's buffers.
+  // Measure one steady-state step, single-channel and in the dual-channel
+  // order (two forwards, then two LIFO backwards), and pin the budget.
   Rng rng(13);
   nn::Conv2d conv(3, 8, /*kernel=*/3, /*stride=*/1, /*padding=*/1, rng);
   const Tensor x = RandomTensor({4, 3, 12, 12}, 14);
+  const Tensor x2 = RandomTensor({4, 3, 12, 12}, 16);
   const Tensor grad = RandomTensor({4, 8, 12, 12}, 15);
-  auto step = [&] {
-    (void)conv.Forward(x, /*train=*/true);
-    (void)conv.Backward(grad);
+  const Tensor grad2 = RandomTensor({4, 8, 12, 12}, 17);
+  struct Step {
+    const char* name;
+    std::function<void()> run;
+    std::uint64_t budget;  // outputs + dx, and nothing else
   };
-  step();  // warm-up
-  step();  // settle capacity-reusing assignments
-  const std::uint64_t allocs = AllocCount();
-  step();
-  const std::uint64_t per_step = AllocCount() - allocs;
-  // forward output + cached-input copy + dx, and nothing else.
-  EXPECT_LE(per_step, 3u);
-  // And it stays flat: 5 more steps cost exactly 5x as much.
-  const std::uint64_t before = AllocCount();
-  for (int i = 0; i < 5; ++i) step();
-  EXPECT_EQ(AllocCount() - before, 5 * per_step);
+  const Step steps[] = {
+      {"single",
+       [&] {
+         (void)conv.Forward(x, /*train=*/true);
+         (void)conv.Backward(grad);
+       },
+       2},
+      {"dual-channel order",
+       [&] {
+         (void)conv.Forward(x, /*train=*/true);
+         (void)conv.Forward(x2, /*train=*/true);
+         (void)conv.Backward(grad2);
+         (void)conv.Backward(grad);
+       },
+       4},
+  };
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.name);
+    step.run();  // warm-up
+    step.run();  // settle capacity-reusing assignments
+    const std::uint64_t allocs = AllocCount();
+    step.run();
+    const std::uint64_t per_step = AllocCount() - allocs;
+    EXPECT_LE(per_step, step.budget);
+    // And it stays flat: 5 more steps cost exactly 5x as much.
+    const std::uint64_t before = AllocCount();
+    for (int i = 0; i < 5; ++i) step.run();
+    EXPECT_EQ(AllocCount() - before, 5 * per_step);
+  }
 }
 
 TEST(AllocFree, ServeEngineSteadyStateIsAllocationFree) {

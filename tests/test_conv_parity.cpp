@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -110,37 +111,84 @@ TEST(ConvParity, ForwardBackwardAgreeAcrossShapes) {
 }
 
 // The dual-channel model runs forward(ch1), forward(ch2), backward(ch2),
-// backward(ch1) on one shared backbone. The GEMM path recomputes its
-// lowering scratch in Backward, so the second (stale-scratch) backward must
-// still match the reference.
+// backward(ch1) on one shared backbone, so each GEMM-path Backward must use
+// the lowering its own Forward kept, whatever ran in between. Each case runs
+// one call sequence on both paths and compares every returned tensor plus
+// the accumulated dW and db.
 TEST(ConvParity, DoubleForwardLifoBackwardMatchesNaive) {
-  Rng rng_a(11), rng_b(11);
-  nn::Conv2d fast(3, 4, 3, 1, 1, rng_a, "fast");
-  nn::Conv2d naive(3, 4, 3, 1, 1, rng_b, "naive");
   const Tensor x1 = RandomTensor({2, 3, 6, 6}, 1);
   const Tensor x2 = RandomTensor({2, 3, 6, 6}, 2);
+  const Tensor x3 = RandomTensor({3, 3, 5, 7}, 5);  // other batch and extents
   const Tensor g1 = RandomTensor({2, 4, 6, 6}, 3);
   const Tensor g2 = RandomTensor({2, 4, 6, 6}, 4);
+  const Tensor g3 = RandomTensor({3, 4, 5, 7}, 6);
 
-  Tensor dx2_fast, dx1_fast, dx2_naive, dx1_naive;
-  {
-    NaiveConvGuard guard(false);
-    fast.Forward(x1, true);
-    fast.Forward(x2, true);
-    dx2_fast = fast.Backward(g2);
-    dx1_fast = fast.Backward(g1);
+  using Outputs = std::vector<Tensor>;
+  struct Case {
+    const char* name;
+    std::function<Outputs(nn::Conv2d&)> run;
+  };
+  const Case cases[] = {
+      {"two forwards, LIFO backwards",
+       [&](nn::Conv2d& c) {
+         c.Forward(x1, true);
+         c.Forward(x2, true);
+         Tensor dx2 = c.Backward(g2);
+         return Outputs{dx2, c.Backward(g1)};
+       }},
+      {"two forwards of different batch sizes",
+       [&](nn::Conv2d& c) {
+         c.Forward(x1, true);
+         c.Forward(x3, true);
+         Tensor dx3 = c.Backward(g3);
+         return Outputs{dx3, c.Backward(g1)};
+       }},
+      {"forward abandoned by ClearCache",
+       [&](nn::Conv2d& c) {
+         c.Forward(x3, true);
+         c.ClearCache();
+         c.Forward(x1, true);
+         Tensor dx1 = c.Backward(g1);
+         EXPECT_THROW(c.Backward(g3), CheckError);  // nothing left to pop
+         return Outputs{dx1};
+       }},
+      {"eval forwards between a forward and its backward",
+       [&](nn::Conv2d& c) {
+         c.Forward(x1, true);
+         Tensor y2 = c.Forward(x2, false);
+         Tensor y3 = c.EvalForward(x3);
+         return Outputs{y2, y3, c.Backward(g1)};
+       }},
+      {"CIP_NAIVE_CONV flipped between a forward and its backward",
+       [&](nn::Conv2d& c) {
+         c.Forward(x1, true);
+         internal::SetNaiveConvForTesting(!NaiveConvEnabled());
+         return Outputs{c.Backward(g1)};
+       }},
+  };
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.name);
+    Rng rng_a(11), rng_b(11);
+    nn::Conv2d fast(3, 4, 3, 1, 1, rng_a, "fast");
+    nn::Conv2d naive(3, 4, 3, 1, 1, rng_b, "naive");
+    Outputs out_fast, out_naive;
+    {
+      NaiveConvGuard guard(false);
+      out_fast = tc.run(fast);
+    }
+    {
+      NaiveConvGuard guard(true);
+      out_naive = tc.run(naive);
+    }
+    ASSERT_EQ(out_fast.size(), out_naive.size());
+    for (std::size_t i = 0; i < out_fast.size(); ++i) {
+      ExpectTensorsNear(out_fast[i], out_naive[i], 1e-5, "returned tensor");
+    }
+    ExpectTensorsNear(fast.Parameters()[0]->grad, naive.Parameters()[0]->grad,
+                      1e-5, "dW");
+    ExpectTensorsNear(fast.Parameters()[1]->grad, naive.Parameters()[1]->grad,
+                      1e-5, "db");
   }
-  {
-    NaiveConvGuard guard(true);
-    naive.Forward(x1, true);
-    naive.Forward(x2, true);
-    dx2_naive = naive.Backward(g2);
-    dx1_naive = naive.Backward(g1);
-  }
-  ExpectTensorsNear(dx2_fast, dx2_naive, 1e-5, "dX ch2");
-  ExpectTensorsNear(dx1_fast, dx1_naive, 1e-5, "dX ch1");
-  ExpectTensorsNear(fast.Parameters()[0]->grad, naive.Parameters()[0]->grad,
-                    1e-5, "dW both channels");
 }
 
 // <Im2Col(x), c> == <x, Col2Im(c)>: the lowering and its scatter-add are
