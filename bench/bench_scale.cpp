@@ -1,26 +1,23 @@
-// Million-client scale benchmark and baseline (BENCH_scale.json).
+// Million-client scale gate (the cip_scale_gate ctest).
 //
 // The ClientStore lifecycle API exists so fleet size and server memory are
 // decoupled: registered clients are cold records behind a pure factory, only
 // each round's sampled cohort is ever live, and between participations a
 // stateful client is a serialized blob in a byte-budgeted LRU hot set that
-// spills to shard files. This bench is the acceptance gate for that design:
+// spills to shard files. This bench checks that design and exits non-zero
+// when a check fails:
 //   1. scale — one million registered clients, participation 0.001 (a
-//      1000-client cohort per round), five rounds, under a pinned peak-RSS
-//      ceiling. Memory must stay O(hot budget + cohort), never O(fleet).
+//      1000-client cohort per round), five rounds: peak RSS <= 512 MiB and
+//      >= 0.05 rounds/sec. Memory must stay O(hot budget + cohort), never
+//      O(fleet).
 //   2. determinism — at a small config, worker budget (1 vs 4) and record
 //      residency (all-resident vs 1-byte hot budget spilling every record)
 //      must be invisible: bit-identical final global and per-round losses.
-// tools/bench_to_json.py --check-scale regates the committed JSON in CI.
-//
-// Run via scripts/bench_baseline.sh, which commits the JSON output.
-#include <sys/resource.h>
-
+// Spill files go to the working directory and are removed on exit.
+#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -37,16 +34,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr double kMaxPeakRssMib = 512.0;
+constexpr double kMinRoundsPerSecond = 0.05;
+
 double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/// Peak resident set size of this process so far, in bytes (Linux
-/// ru_maxrss is reported in kilobytes).
-std::size_t PeakRssBytes() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<std::size_t>(usage.ru_maxrss) * 1024;
 }
 
 /// Pure per-id client spec: a tiny two-blob MLP client whose shard is
@@ -119,25 +111,10 @@ fl::FlLog SweepRun(std::size_t budget, bool spill, const std::string& tag) {
   return log;
 }
 
-void PutNum(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  os << buf;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const char* output_path = "BENCH_scale.json";
-  std::size_t registered = 1'000'000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--output") == 0 && i + 1 < argc) {
-      output_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--registered") == 0 && i + 1 < argc) {
-      registered = std::stoul(argv[++i]);  // exploratory runs only
-    }
-  }
-
+int main() {
+  const std::size_t registered = 1'000'000;
   bench::PrintHeader(
       "ClientStore scale — 1M registered clients, 1k-client cohorts",
       "n/a (infrastructure bench; cross-device FL samples ~0.1% of fleets)",
@@ -160,7 +137,7 @@ int main(int argc, char** argv) {
   // ---- the million-client run ------------------------------------------------
   const std::size_t kRounds = 5;
   const float kParticipation = 0.001f;
-  const std::string spill_dir = std::string(output_path) + ".spill.tmp";
+  const std::string spill_dir = "bench_scale_spill.tmp";
   fl::StoreOptions sopts;
   sopts.hot_bytes = std::size_t{256} << 10;  // force steady-state spilling
   sopts.spill_dir = spill_dir;
@@ -179,7 +156,7 @@ int main(int argc, char** argv) {
   const std::size_t cohort = log.client_losses.empty()
                                  ? 0
                                  : log.client_losses.front().size();
-  const std::size_t peak_rss = PeakRssBytes();
+  const double peak_rss_mib = bench::PeakRssMib();
   const fl::StoreStats stats = store.stats();
   std::filesystem::remove_all(spill_dir);
 
@@ -189,8 +166,7 @@ int main(int argc, char** argv) {
   table.AddRow({"rounds", std::to_string(kRounds)});
   table.AddRow({"wall seconds", TextTable::Num(seconds, 2)});
   table.AddRow({"rounds/sec", TextTable::Num(rounds_per_second, 3)});
-  table.AddRow({"peak RSS MiB",
-                TextTable::Num(static_cast<double>(peak_rss) / (1 << 20), 1)});
+  table.AddRow({"peak RSS MiB", TextTable::Num(peak_rss_mib, 1)});
   table.AddRow({"evictions", std::to_string(stats.evictions)});
   table.AddRow({"spills", std::to_string(stats.spills)});
   table.AddRow({"cold loads", std::to_string(stats.cold_loads)});
@@ -199,58 +175,25 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
   std::cout << "host hardware_concurrency=" << hw << "\n";
 
-  // ---- JSON baseline ---------------------------------------------------------
-  std::ofstream js(output_path);
-  js << "{\n  \"schema\": \"cip-bench-scale/v1\",\n"
-     << "  \"host\": {\"num_cpus\": " << hw << ", \"cip_build_type\": \""
-#ifdef NDEBUG
-     << "release"
-#else
-     << "debug"
-#endif
-     << "\"},\n"
-     << "  \"setup\": {\"registered_clients\": " << registered
-     << ", \"participation\": ";
-  PutNum(js, kParticipation);
-  js << ", \"cohort\": " << cohort << ", \"rounds\": " << kRounds
-     << ", \"hot_bytes\": " << (std::size_t{256} << 10) << "},\n"
-     << "  \"determinism\": {\"bit_identical\": "
-     << (sweep_identical ? "true" : "false") << "},\n"
-     << "  \"scale\": {\"seconds\": ";
-  PutNum(js, seconds);
-  js << ", \"rounds_per_second\": ";
-  PutNum(js, rounds_per_second);
-  js << ", \"peak_rss_bytes\": " << peak_rss
-     << ",\n    \"store\": {\"evictions\": " << stats.evictions
-     << ", \"spills\": " << stats.spills
-     << ", \"cold_loads\": " << stats.cold_loads
-     << ", \"hot_hits\": " << stats.hot_hits
-     << ", \"spilled_records\": " << stats.spilled_records << "}}\n}\n";
-  js.close();
-  std::cout << "baseline written to " << output_path << "\n";
-
   // ---- gates -----------------------------------------------------------------
-  bool ok = true;
-  if (!sweep_identical) {
-    std::cerr << "FAIL: results differ across budget/residency grid\n";
-    ok = false;
-  }
-  const std::size_t expected_cohort = static_cast<std::size_t>(
-      static_cast<double>(kParticipation) * static_cast<double>(registered));
-  if (cohort != std::max<std::size_t>(expected_cohort, 1)) {
-    std::cerr << "FAIL: cohort " << cohort << " != expected "
-              << expected_cohort << "\n";
-    ok = false;
-  }
-  if (stats.spills == 0) {
-    std::cerr << "FAIL: hot budget never spilled — the byte budget gate is "
-                 "vacuous\n";
-    ok = false;
-  }
-  if (peak_rss > (std::size_t{512} << 20)) {
-    std::cerr << "FAIL: peak RSS " << (peak_rss >> 20)
-              << " MiB exceeds the 512 MiB ceiling\n";
-    ok = false;
-  }
-  return ok ? 0 : 1;
+  const std::size_t expected_cohort = std::max<std::size_t>(
+      static_cast<std::size_t>(static_cast<double>(kParticipation) *
+                               static_cast<double>(registered)),
+      1);
+  bench::Gate gate;
+  gate.Check(sweep_identical,
+             "bit-identical across the budget x residency grid");
+  gate.Check(cohort == expected_cohort,
+             "cohort " + std::to_string(cohort) + " == " +
+                 std::to_string(expected_cohort));
+  gate.Check(stats.spills > 0, "hot budget spilled " +
+                                   std::to_string(stats.spills) +
+                                   " records (need > 0)");
+  gate.Floor(peak_rss_mib <= kMaxPeakRssMib,
+             "peak RSS " + TextTable::Num(peak_rss_mib, 1) + " MiB (need <= " +
+                 TextTable::Num(kMaxPeakRssMib, 0) + ")");
+  gate.Floor(rounds_per_second >= kMinRoundsPerSecond,
+             "rounds/sec " + TextTable::Num(rounds_per_second, 3) +
+                 " (need >= " + TextTable::Num(kMinRoundsPerSecond, 2) + ")");
+  return gate.ExitCode();
 }

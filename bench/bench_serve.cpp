@@ -1,31 +1,27 @@
-// Batched CIP serving benchmark and baseline (BENCH_serve.json).
+// Batched CIP serving gate (the cip_serve_gate ctest, run at CIP_THREADS=4).
 //
-// Measures the ServeEngine (src/serve) end to end — the acceptance gate for
-// the fused blend+forward serving path:
+// Measures the ServeEngine (src/serve) end to end and exits non-zero when a
+// check fails:
 //   1. t-cache — queries/sec with a cold cache (every lookup materializes a
 //      client through the store factory) vs a warm cache (pure map hits);
-//      the warm pass must be all hits.
+//      the warm pass must be all hits and faster than the cold one.
 //   2. fused throughput — B single-row queries from B distinct clients fused
 //      into one Flush, for B in {1, 16, 128}: queries/sec, rows/sec and
-//      p50/p99 per-flush latency. The gate: batch-128 fused throughput must
-//      be >= 4x the batch-1 per-query throughput — the whole point of
-//      packing many clients' blended channels into one [sum N, ...] forward.
+//      p50/p99 per-flush latency of each size's best of five alternating
+//      passes. The floor: batch-128 fused throughput must be >= 4x the
+//      batch-1 per-query throughput at a thread budget of 4 — the whole
+//      point of packing many clients' blended channels into one
+//      [sum N, ...] forward.
 //   3. allocation discipline — the measured loops run with ZERO tensor
 //      element-buffer allocations (the grow-once arena contract that
 //      tests/test_alloc_free.cpp pins at unit scale).
 //   4. wire front door — a kQuery round-trip through a real loopback
 //      CipServer must answer bit-identically to an in-process Serve of the
 //      same (client_id, inputs).
-// tools/bench_to_json.py --check-serve regates the committed JSON in CI.
-//
-// Run via scripts/bench_baseline.sh (which pins CIP_THREADS=4, the thread
-// budget the gate numbers are defined at).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -53,14 +49,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// The fused floor and the thread budget it is defined at.
+constexpr double kMinFusedSpeedup = 4.0;
+constexpr std::size_t kFloorThreads = 4;
+
 double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-void PutNum(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  os << buf;
 }
 
 /// Serving workload shape. The fleet is far larger than any fused batch so
@@ -78,7 +72,8 @@ struct BenchConfig {
   std::size_t classes = 10;
   std::size_t max_batch_rows = 128;
   std::vector<std::size_t> batch_sizes = {1, 16, 128};
-  std::vector<std::size_t> batch_iters = {20000, 2000, 500};
+  std::vector<std::size_t> batch_iters = {20000, 2000, 500};  ///< flushes
+  std::size_t repeats = 5;  ///< alternating passes the flushes split into
 };
 
 std::vector<fl::ClientSpec> MakeSpecs(const BenchConfig& cfg) {
@@ -206,17 +201,8 @@ bool SameBits(const Tensor& a, const Tensor& b) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const char* output_path = "BENCH_serve.json";
-  BenchConfig cfg;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--output") == 0 && i + 1 < argc) {
-      output_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc) {
-      cfg.clients = std::stoul(argv[++i]);  // exploratory runs only
-    }
-  }
-
+int main() {
+  const BenchConfig cfg;
   bench::PrintHeader(
       "Batched CIP serving — per-client t-cache + fused blend+forward",
       "n/a (infrastructure bench; deployed CIP must serve every client's "
@@ -261,11 +247,20 @@ int main(int argc, char** argv) {
     engine.Enqueue(j % cfg.clients, row);
   }
   (void)engine.Flush();
+  // Each batch size keeps its best of several alternating passes, so load
+  // from other processes slows every size alike instead of skewing the
+  // fused ratio.
   const std::uint64_t allocs_before = internal::TensorAllocCount();
-  std::vector<BatchResult> batches;
-  for (std::size_t b = 0; b < cfg.batch_sizes.size(); ++b) {
-    batches.push_back(RunBatch(engine, row, cfg.clients, cfg.batch_sizes[b],
-                               cfg.batch_iters[b]));
+  std::vector<BatchResult> batches(cfg.batch_sizes.size());
+  for (std::size_t r = 0; r < cfg.repeats; ++r) {
+    for (std::size_t b = 0; b < cfg.batch_sizes.size(); ++b) {
+      const BatchResult pass =
+          RunBatch(engine, row, cfg.clients, cfg.batch_sizes[b],
+                   cfg.batch_iters[b] / cfg.repeats);
+      if (pass.queries_per_second > batches[b].queries_per_second) {
+        batches[b] = pass;
+      }
+    }
   }
   const bool alloc_free = internal::TensorAllocCount() == allocs_before;
   const double fused_speedup =
@@ -322,75 +317,27 @@ int main(int argc, char** argv) {
   table.AddRow({"wire bit-identical", wire_identical ? "yes" : "NO"});
   table.Print(std::cout);
 
-  // ---- JSON baseline ---------------------------------------------------------
-  std::ofstream js(output_path);
-  js << "{\n  \"schema\": \"cip-bench-serve/v1\",\n"
-     << "  \"host\": {\"num_threads\": " << ParallelThreads()
-     << ", \"cip_build_type\": \""
-#ifdef NDEBUG
-     << "release"
-#else
-     << "debug"
-#endif
-     << "\"},\n"
-     << "  \"setup\": {\"clients\": " << cfg.clients
-     << ", \"input_dim\": " << cfg.input_dim << ", \"width\": " << cfg.width
-     << ", \"classes\": " << cfg.classes
-     << ", \"max_batch_rows\": " << cfg.max_batch_rows << "},\n"
-     << "  \"tcache\": {\"cold_queries_per_second\": ";
-  PutNum(js, cold_qps);
-  js << ", \"warm_queries_per_second\": ";
-  PutNum(js, warm_qps);
-  js << ", \"warm_hit_rate\": ";
-  PutNum(js, warm_hit_rate);
-  js << ",\n    \"stats\": {\"hits\": " << engine.stats().t_hits
-     << ", \"misses\": " << engine.stats().t_misses
-     << ", \"stale\": " << engine.stats().t_stale
-     << ", \"evictions\": " << engine.stats().t_evictions << "}},\n"
-     << "  \"serve\": {\"alloc_free_steady_state\": "
-     << (alloc_free ? "true" : "false")
-     << ", \"wire_bit_identical\": " << (wire_identical ? "true" : "false")
-     << ",\n    \"fused_speedup_128_vs_1\": ";
-  PutNum(js, fused_speedup);
-  js << ",\n    \"batches\": [";
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    const BatchResult& b = batches[i];
-    js << (i == 0 ? "" : ",") << "\n      {\"batch\": " << b.batch
-       << ", \"queries_per_second\": ";
-    PutNum(js, b.queries_per_second);
-    js << ", \"rows_per_second\": ";
-    PutNum(js, b.rows_per_second);
-    js << ", \"p50_ms\": ";
-    PutNum(js, b.p50_ms);
-    js << ", \"p99_ms\": ";
-    PutNum(js, b.p99_ms);
-    js << "}";
-  }
-  js << "\n    ]}\n}\n";
-  js.close();
-  std::cout << "baseline written to " << output_path << "\n";
-
   // ---- gates -----------------------------------------------------------------
-  bool ok = true;
-  if (cold_misses != cfg.clients || warm_hits != cfg.clients) {
-    std::cerr << "FAIL: t-cache passes were not cleanly cold-then-warm ("
-              << cold_misses << " misses, " << warm_hits << " hits)\n";
-    ok = false;
-  }
-  if (fused_speedup < 4.0) {
-    std::cerr << "FAIL: fused batch-128 throughput is only " << fused_speedup
-              << "x batch-1 (need >= 4x)\n";
-    ok = false;
-  }
-  if (!alloc_free) {
-    std::cerr << "FAIL: measured serving loops performed tensor "
-                 "allocations\n";
-    ok = false;
-  }
-  if (!wire_identical) {
-    std::cerr << "FAIL: wire kQuery answer differs from the in-process "
-                 "ServeEngine bits\n";
-    ok = false;
-  }
-  return ok ? 0 : 1;
+  bench::Gate gate;
+  gate.Check(cold_misses == cfg.clients && warm_hits == cfg.clients,
+             "t-cache passes cleanly cold then warm (" +
+                 std::to_string(cold_misses) + " misses, " +
+                 std::to_string(warm_hits) + " hits of " +
+                 std::to_string(cfg.clients) + ")");
+  gate.Check(alloc_free, "measured serving loops allocation-free");
+  gate.Check(wire_identical,
+             "wire kQuery bit-identical to in-process Serve");
+  gate.Floor(warm_qps > cold_qps,
+             "warm t-cache " + TextTable::Num(warm_qps, 0) +
+                 " queries/sec (need > cold " + TextTable::Num(cold_qps, 0) +
+                 ")");
+  gate.Floor(ParallelThreads() >= kFloorThreads,
+             "thread budget " + std::to_string(ParallelThreads()) +
+                 " (need >= " + std::to_string(kFloorThreads) +
+                 ": set CIP_THREADS)");
+  gate.Floor(fused_speedup >= kMinFusedSpeedup,
+             "fused batch-128 vs batch-1 throughput " +
+                 TextTable::Num(fused_speedup, 2) + "x (need >= " +
+                 TextTable::Num(kMinFusedSpeedup, 0) + ")");
+  return gate.ExitCode();
 }

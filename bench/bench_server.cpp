@@ -1,32 +1,26 @@
-// Standalone-server load benchmark and baseline (BENCH_server.json).
+// Standalone-server load gate (the cip_server_gate ctest).
 //
 // Drives the socket server (net/server.h) with ~1k concurrent TCP clients
 // from a single thread: one CipServer::Step(0) interleaved with a poll(2)
-// loop over non-blocking client state machines, all on loopback. This is the
-// acceptance gate for the wire stack:
+// loop over non-blocking client state machines, all on loopback. Checks the
+// wire stack and exits non-zero when a check fails:
 //   1. load — 1000 concurrent connections, first-900-of-1000 asynchronous
-//      rounds (stragglers fold into the next round), 20 rounds; reports
-//      rounds/sec and steady-state p50/p99 round-close latency.
+//      rounds, 20 rounds: every round closes, stragglers fold into the next
+//      round, zero protocol errors; >= 1.0 rounds/sec and peak RSS
+//      <= 256 MiB. Reports steady-state p50/p99 round-close latency.
 //   2. admission — 10 extra dials beyond max_connections must each receive
-//      kBusy with a retry hint and an orderly close (busy_rejections > 0).
+//      kBusy with a retry hint and an orderly close.
 //   3. determinism — a small synchronous run (quorum == fleet) over real
 //      sockets must be bit-identical to feeding AsyncRoundEngine directly,
 //      and every client's kFinal payload must equal the server's aggregate.
-// tools/bench_to_json.py --check-server regates the committed JSON in CI.
 //
 // No training happens here: clients answer each kRound with a cheap
 // deterministic function of (global, round, id), so the numbers measure
 // framing, multiplexing and the aggregation fold — not SGD.
-//
-// Run via scripts/bench_baseline.sh, which commits the JSON output.
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <span>
 #include <string>
@@ -35,7 +29,6 @@
 
 #include "bench_util.h"
 #include "common/check.h"
-#include "common/parallel.h"
 #include "net/frame.h"
 #include "net/round_engine.h"
 #include "net/server.h"
@@ -48,22 +41,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr double kMaxPeakRssMib = 256.0;
+constexpr double kMinRoundsPerSecond = 1.0;
+
 double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/// Peak resident set size of this process so far, in bytes (Linux
-/// ru_maxrss is reported in kilobytes).
-std::size_t PeakRssBytes() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<std::size_t>(usage.ru_maxrss) * 1024;
-}
-
-void PutNum(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  os << buf;
 }
 
 bool SameBits(const fl::ModelState& a, const fl::ModelState& b) {
@@ -387,20 +369,8 @@ double PercentileMs(std::vector<double> v, double p) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const char* output_path = "BENCH_server.json";
-  RunConfig cfg;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--output") == 0 && i + 1 < argc) {
-      output_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc) {
-      cfg.clients = std::stoul(argv[++i]);  // exploratory runs only
-      cfg.quorum = (cfg.clients * 9 + 9) / 10;
-    } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
-      cfg.rounds = std::stoul(argv[++i]);  // exploratory runs only
-    }
-  }
-
+int main() {
+  const RunConfig cfg;
   bench::PrintHeader(
       "Standalone server load — 1k concurrent connections, async rounds",
       "n/a (infrastructure bench; cross-device FL servers multiplex "
@@ -441,7 +411,7 @@ int main(int argc, char** argv) {
   }
   const double p50_ms = PercentileMs(deltas, 0.50);
   const double p99_ms = PercentileMs(deltas, 0.99);
-  const std::size_t peak_rss = PeakRssBytes();
+  const double peak_rss_mib = bench::PeakRssMib();
 
   TextTable table({"Metric", "Value"});
   table.AddRow({"clients (quorum)", std::to_string(cfg.clients) + " (" +
@@ -467,76 +437,35 @@ int main(int argc, char** argv) {
                     TextTable::Num(
                         static_cast<double>(load.sstats.bytes_received) /
                             (1 << 20), 1)});
-  table.AddRow({"peak RSS MiB",
-                TextTable::Num(static_cast<double>(peak_rss) / (1 << 20), 1)});
+  table.AddRow({"peak RSS MiB", TextTable::Num(peak_rss_mib, 1)});
   table.Print(std::cout);
 
-  // ---- JSON baseline ---------------------------------------------------------
-  std::ofstream js(output_path);
-  js << "{\n  \"schema\": \"cip-bench-server/v1\",\n"
-     << "  \"host\": {\"num_cpus\": " << ParallelThreads()
-     << ", \"cip_build_type\": \""
-#ifdef NDEBUG
-     << "release"
-#else
-     << "debug"
-#endif
-     << "\"},\n"
-     << "  \"setup\": {\"clients\": " << cfg.clients
-     << ", \"quorum\": " << cfg.quorum << ", \"rounds\": " << cfg.rounds
-     << ", \"model_floats\": " << cfg.model_floats
-     << ", \"extra_dials\": " << cfg.extra_dials << "},\n"
-     << "  \"determinism\": {\"bit_identical\": "
-     << (wire_identical ? "true" : "false") << "},\n"
-     << "  \"server\": {\"seconds\": ";
-  PutNum(js, load.seconds);
-  js << ", \"rounds_per_second\": ";
-  PutNum(js, rounds_per_second);
-  js << ",\n    \"round_latency_p50_ms\": ";
-  PutNum(js, p50_ms);
-  js << ", \"round_latency_p99_ms\": ";
-  PutNum(js, p99_ms);
-  js << ", \"peak_rss_bytes\": " << peak_rss
-     << ",\n    \"stats\": {\"accepted_connections\": "
-     << load.sstats.accepted_connections
-     << ", \"busy_rejections\": " << load.sstats.busy_rejections
-     << ", \"dropped_connections\": " << load.sstats.dropped_connections
-     << ",\n      \"protocol_errors\": "
-     << (load.estats.protocol_errors + load.sstats.protocol_errors)
-     << ", \"rounds_completed\": " << load.estats.rounds_completed
-     << ", \"updates_accepted\": " << load.estats.updates_accepted
-     << ", \"folded_stragglers\": " << load.estats.folded_stragglers
-     << ",\n      \"bytes_sent\": " << load.sstats.bytes_sent
-     << ", \"bytes_received\": " << load.sstats.bytes_received << "}}\n}\n";
-  js.close();
-  std::cout << "baseline written to " << output_path << "\n";
-
   // ---- gates -----------------------------------------------------------------
-  bool ok = true;
-  if (!wire_identical) {
-    std::cerr << "FAIL: wire run is not bit-identical to the direct engine "
-                 "feed\n";
-    ok = false;
-  }
-  if (load.any_failed || !load.finals_match) {
-    std::cerr << "FAIL: a load client failed or received a mismatched "
-                 "final aggregate\n";
-    ok = false;
-  }
-  if (load.estats.rounds_completed != cfg.rounds) {
-    std::cerr << "FAIL: completed " << load.estats.rounds_completed << " of "
-              << cfg.rounds << " rounds\n";
-    ok = false;
-  }
-  if (load.busy_seen != cfg.extra_dials ||
-      load.sstats.busy_rejections < cfg.extra_dials) {
-    std::cerr << "FAIL: " << load.busy_seen << " of " << cfg.extra_dials
-              << " over-cap dials saw kBusy\n";
-    ok = false;
-  }
-  if (load.estats.protocol_errors + load.sstats.protocol_errors != 0) {
-    std::cerr << "FAIL: protocol errors on a clean run\n";
-    ok = false;
-  }
-  return ok ? 0 : 1;
+  const std::size_t protocol_errors =
+      load.estats.protocol_errors + load.sstats.protocol_errors;
+  bench::Gate gate;
+  gate.Check(wire_identical,
+             "wire run bit-identical to the direct engine feed");
+  gate.Check(!load.any_failed && load.finals_match,
+             "every load client finished with the server's final aggregate");
+  gate.Check(load.estats.rounds_completed == cfg.rounds,
+             "completed " + std::to_string(load.estats.rounds_completed) +
+                 " of " + std::to_string(cfg.rounds) + " rounds");
+  gate.Check(load.estats.folded_stragglers > 0,
+             "folded " + std::to_string(load.estats.folded_stragglers) +
+                 " stragglers (need > 0)");
+  gate.Check(load.busy_seen == cfg.extra_dials &&
+                 load.sstats.busy_rejections >= cfg.extra_dials,
+             std::to_string(load.busy_seen) + " of " +
+                 std::to_string(cfg.extra_dials) +
+                 " over-cap dials saw kBusy");
+  gate.Check(protocol_errors == 0,
+             std::to_string(protocol_errors) + " protocol errors (need 0)");
+  gate.Floor(rounds_per_second >= kMinRoundsPerSecond,
+             "rounds/sec " + TextTable::Num(rounds_per_second, 2) +
+                 " (need >= " + TextTable::Num(kMinRoundsPerSecond, 1) + ")");
+  gate.Floor(peak_rss_mib <= kMaxPeakRssMib,
+             "peak RSS " + TextTable::Num(peak_rss_mib, 1) + " MiB (need <= " +
+                 TextTable::Num(kMaxPeakRssMib, 0) + ")");
+  return gate.ExitCode();
 }

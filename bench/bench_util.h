@@ -7,6 +7,8 @@
 // orderings and trends are the reproduction target.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -27,6 +29,55 @@ inline void PrintHeader(const std::string& experiment_id,
             << "Scale:  CIP_SCALE=" << BenchScale()
             << " (raise for closer-to-paper sizes)\n"
             << "==========================================================\n";
+}
+
+/// Memory ceilings and timing floors hold only for an optimized, unsanitized
+/// build (NDEBUG defined, CIP_SANITIZE empty): sanitizer shadow memory,
+/// quarantine and instrumentation move both. Correctness checks hold in every
+/// build.
+#if defined(NDEBUG) && !defined(CIP_SANITIZED)
+inline constexpr bool kFloorsEnforced = true;
+#else
+inline constexpr bool kFloorsEnforced = false;
+#endif
+
+/// Verdict of a self-checking bench; its exit status is the bench's ctest
+/// gate. Every check prints one line, so a gate's output records the value
+/// it measured against each threshold.
+class Gate {
+ public:
+  /// A correctness property: enforced in every build.
+  void Check(bool ok, const std::string& what) {
+    (ok ? std::cout : std::cerr) << (ok ? "check ok:   " : "FAIL check: ")
+                                 << what << "\n";
+    ok_ = ok_ && ok;
+  }
+
+  /// A memory ceiling or timing floor: enforced only when kFloorsEnforced,
+  /// otherwise reported as skipped.
+  void Floor(bool ok, const std::string& what) {
+    if (!kFloorsEnforced) {
+      std::cout << "floor skipped (sanitized or unoptimized build): " << what
+                << "\n";
+      return;
+    }
+    (ok ? std::cout : std::cerr) << (ok ? "floor ok:   " : "FAIL floor: ")
+                                 << what << "\n";
+    ok_ = ok_ && ok;
+  }
+
+  int ExitCode() const { return ok_ ? 0 : 1; }
+
+ private:
+  bool ok_ = true;
+};
+
+/// Peak resident set size of this process so far, in MiB (Linux reports
+/// ru_maxrss in KiB).
+inline double PeakRssMib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
 /// Prints elapsed wall time at scope exit.

@@ -107,8 +107,8 @@ done
 
 if [[ "$run_tsan" == 1 ]]; then
   # The execution engine's race-freedom certificate: the persistent worker
-  # pool (spawn storms, nested dispatch, exception propagation, the legacy
-  # spawn-per-call path), the coarse-grained ParallelForCoarse patterns, and
+  # pool (spawn storms, nested dispatch, exception propagation, the busy-pool
+  # fallback), the coarse-grained ParallelForCoarse patterns, and
   # a real multi-client federation, all forced onto real worker threads,
   # under ThreadSanitizer. Already part of the preset's ctest run above;
   # repeated here explicitly so a filtered-out or renamed stress suite fails
@@ -120,10 +120,9 @@ fi
 
 if [[ "$run_bench" == 1 ]]; then
   # Smoke mode: ~1ms per benchmark, enough to exercise every registered case
-  # including the pool-vs-spawn dispatch-overhead pair (BM_ParallelForDispatch
-  # and friends). For real numbers use scripts/bench_baseline.sh (see
-  # docs/BENCHMARKS.md). Runs after analyze + sanitizers by design: perf
-  # smoke on a tree that fails correctness gates is wasted time.
+  # (catches bench-only build/runtime breakage). The performance gates run in
+  # ctest above; see docs/BENCHMARKS.md. Runs after analyze + sanitizers by
+  # design: perf smoke on a tree that fails correctness gates is wasted time.
   step "benchmark smoke run [release]"
   cmake --build --preset release -j "$jobs" --target bench_micro_ops
   ./build-release/bench/bench_micro_ops --benchmark_min_time=0.001

@@ -46,7 +46,6 @@ namespace {
 
 // -1: not yet read from the environment; 0/1: resolved.
 std::atomic<int> g_naive_conv{-1};
-std::atomic<int> g_spawn_per_call{-1};
 // -1: not yet read from the environment; otherwise an IsaRequest value.
 std::atomic<int> g_isa_request{-1};
 
@@ -54,10 +53,6 @@ std::atomic<int> g_isa_request{-1};
 
 void SetNaiveConvForTesting(bool enabled) {
   g_naive_conv.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-void SetSpawnPerCallForTesting(bool enabled) {
-  g_spawn_per_call.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
 void SetIsaRequestForTesting(IsaRequest request) {
@@ -85,18 +80,6 @@ IsaRequest IsaRequested() {
     internal::g_isa_request.store(v, std::memory_order_relaxed);
   }
   return static_cast<IsaRequest>(v);
-}
-
-bool SpawnPerCallEnabled() {
-  int v = internal::g_spawn_per_call.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = internal::ParseBoolFlag(std::getenv("CIP_SPAWN_THREADS"))
-                .value_or(false)
-            ? 1
-            : 0;
-    internal::g_spawn_per_call.store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
 }
 
 }  // namespace cip

@@ -21,15 +21,6 @@ std::size_t Scaled(std::size_t nominal, std::size_t min_value = 1);
 /// runtime via internal::SetNaiveConvForTesting.
 bool NaiveConvEnabled();
 
-/// CIP_SPAWN_THREADS (default 0): when 1, ParallelFor/ParallelForCoarse use
-/// the legacy spawn-one-thread-per-chunk-per-call dispatch instead of the
-/// persistent worker pool. Strict parsing: only the exact strings "0" and
-/// "1" are honored; anything else is ignored (pool). Read once at first use;
-/// the dispatch-overhead benchmarks flip the path at runtime via
-/// internal::SetSpawnPerCallForTesting. Results are bit-identical across the
-/// two paths — only dispatch latency differs.
-bool SpawnPerCallEnabled();
-
 /// What CIP_ISA asked for. `kAuto` means "bind the best kernel the host
 /// supports"; the explicit levels force that kernel (clamped down to what the
 /// host supports — forcing avx512 on an AVX2-only box binds avx2's fallback
@@ -58,11 +49,6 @@ std::optional<bool> ParseBoolFlag(const char* s);
 /// Override NaiveConvEnabled() for the rest of the process, bypassing the
 /// environment. For parity tests and the naive-vs-GEMM benches only.
 void SetNaiveConvForTesting(bool enabled);
-
-/// Override SpawnPerCallEnabled() for the rest of the process, bypassing the
-/// environment. For the pool-vs-spawn dispatch benchmarks and stress tests
-/// only.
-void SetSpawnPerCallForTesting(bool enabled);
 
 /// Strict parse of a CIP_ISA value. Returns nullopt unless `s` is exactly
 /// one of "auto", "portable", "avx2", "avx512".

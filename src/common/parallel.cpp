@@ -11,8 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/env.h"
-
 namespace cip {
 
 namespace internal {
@@ -115,7 +113,7 @@ class WorkerPool {
   // Try to run `job` with the calling thread plus up to `extra_workers`
   // pool workers. The pool executes one region at a time; when another
   // top-level region currently owns it this returns false without touching
-  // `job`, and the caller falls back to spawn-per-call dispatch. Falling
+  // `job`, and the caller falls back to spawned helper threads. Falling
   // back (rather than blocking here) keeps concurrent regions progressing
   // independently: a region whose fn waits on progress made by another
   // caller's region would deadlock if that caller were parked on this
@@ -170,7 +168,7 @@ class WorkerPool {
     // we own it no worker is inside a job and the joins below cannot hang on
     // in-flight work. Threads other than the one running static destructors
     // must not issue new ParallelFor calls concurrently with teardown (see
-    // parallel.h); a TryRun racing this lock falls back to the spawn path.
+    // parallel.h); a TryRun racing this lock takes the busy-pool fallback.
     const std::lock_guard<std::mutex> run_lock(run_mutex_);
     {
       const std::lock_guard<std::mutex> lk(m_);
@@ -210,27 +208,6 @@ class WorkerPool {
   bool stop_ = false;
 };
 
-// Legacy dispatch: spawn one jthread per chunk, join on scope exit. Kept
-// runtime-selectable (CIP_SPAWN_THREADS=1) as the reference point for the
-// dispatch-overhead benchmarks; semantics match the pool path exactly.
-void RunSpawnPerCall(Job& job, std::size_t threads) {
-  {
-    std::vector<std::jthread> workers;
-    // CIP_ANALYZE_OK(hot-alloc-container): spawn-per-call fallback/reference path, explicitly not the steady-state pool
-    workers.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w) {
-      const std::size_t lo = job.begin + w * job.chunk;
-      if (lo >= job.end) break;
-      // CIP_ANALYZE_OK(hot-alloc-container): spawn-per-call fallback: jthreads are constructed fresh by design here
-      workers.emplace_back([&job] {
-        ++t_parallel_depth;
-        job.RunChunks();
-        --t_parallel_depth;
-      });
-    }
-  }  // jthreads join here; job state is stable afterwards.
-}
-
 // When the pool is busy, each extra spawned runner must be amortized by this
 // multiple of the region's min_parallel threshold; smaller busy-pool regions
 // get a smaller runner budget (never below two — see the fallback below).
@@ -241,7 +218,7 @@ constexpr std::size_t kBusySpawnAmortizeFactor = 64;
 // Shared chunk-per-runner core. min_parallel is the smallest range worth
 // dispatching for; below it (or at a budget of 1, or nested inside another
 // parallel region, or after pool teardown) the loop runs serially inline.
-// CIP_HOT  (dispatch front door: pool hand-off or spawn fallback)
+// CIP_HOT  (dispatch front door: pool hand-off or busy-pool fallback)
 void RunChunked(std::size_t begin, std::size_t end,
                 const std::function<void(std::size_t)>& fn,
                 std::size_t max_threads, std::size_t min_parallel) {
@@ -262,11 +239,9 @@ void RunChunked(std::size_t begin, std::size_t end,
   // The pool runs one region at a time; a second concurrent top-level
   // caller finds it busy and falls back. Chunk execution order (and the
   // partition itself) never affects results — the FL bit-identity suites
-  // pin that across worker budgets — so every fallback path below produces
+  // pin that across worker budgets — so the fallback below produces
   // bit-identical results.
-  if (SpawnPerCallEnabled()) {
-    RunSpawnPerCall(job, threads);
-  } else if (!WorkerPool::Instance().TryRun(job, threads - 1)) {
+  if (!WorkerPool::Instance().TryRun(job, threads - 1)) {
     // Busy-pool fallback. Spawning a jthread costs tens of microseconds of
     // thread start-up — worth it for a large region, pure thrash for the
     // many-small-top-level-regions regime (e.g. concurrent serving steps

@@ -16,24 +16,22 @@
 // teardown run serially. Threads other than the one running static
 // destructors must not issue ParallelFor calls concurrently with process
 // exit: teardown waits only for the region in flight, and a dispatch racing
-// the destruction of the pool singleton itself is undefined. Setting
-// CIP_SPAWN_THREADS=1 (see src/common/env.h) restores the legacy
-// spawn-one-jthread-per-chunk-per-call dispatch; it exists as the reference
-// point for the dispatch-overhead benchmarks in bench/bench_micro_ops.cpp.
+// the destruction of the pool singleton itself is undefined.
 //
 // Chunking is deterministic: a call with budget T over n indices produces
 // min(T, n) fixed contiguous chunks of ceil(n / min(T, n)) indices,
 // independent of which worker executes which chunk. Every index is executed
 // exactly once, so any fn writing to disjoint locations per index produces
-// bit-identical results across budgets and across the pool/spawn paths.
+// bit-identical results across budgets and dispatch paths.
 //
 // Nesting: a ParallelFor issued from inside a worker (or from a caller that
 // is itself executing chunks) runs serially on that thread instead of
 // re-entering the pool — nested calls can neither deadlock nor oversubscribe.
 // The pool executes one region at a time, but independent top-level callers
-// never block on each other: a caller that finds the pool busy dispatches
-// that region via the spawn-per-call path instead (same chunk partition,
-// bit-identical results). Concurrent regions therefore always progress
+// never block on each other: a caller that finds the pool busy runs that
+// region on freshly spawned helper threads instead, re-chunked by a budget
+// scaled to the region's size (every index still runs exactly once, so
+// results stay bit-identical). Concurrent regions therefore always progress
 // independently, even when one region's fn waits on progress made by
 // another region.
 //

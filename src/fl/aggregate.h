@@ -13,9 +13,9 @@
 // sequence alone (carry-propagate on arrival, then one fixed low-to-high
 // merge in FinishMean). Feeding the same updates in the same order always
 // produces the bit-identical mean, on any thread budget; both the round
-// engine's per-round aggregate and ModelState::Average delegate here, so a
-// log replay (bench_fault_rounds recomputes the aggregate from recorded
-// client updates) reproduces the server's global exactly.
+// engine's per-round aggregate and ModelState::Average delegate here, so
+// replaying recorded client updates through this fold reproduces the
+// server's global exactly.
 #pragma once
 
 #include <cstddef>

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "fl/telemetry.h"
 #include "fl/trainer.h"
+#include "optim/optimizer.h"
 
 namespace cip::fl {
 
@@ -39,6 +40,17 @@ struct RoundContext {
     return lr_scale * LrAtRound(cfg, round);
   }
 };
+
+/// The server-side lr_scale for 1-based `round`: lr_decay applied once per
+/// completed block of lr_decay_every rounds, or 1 when lr_decay_every is 0.
+/// FederatedAveraging and the wire AsyncRoundEngine both hand out this value,
+/// so it is part of their bit-identity contract.
+inline float LrScaleAtRound(float lr_decay, std::size_t lr_decay_every,
+                            std::size_t round) {
+  if (lr_decay_every == 0) return 1.0f;
+  return optim::StepDecaySchedule(1.0f, lr_decay, lr_decay_every)
+      .LrAt(round - 1);
+}
 
 /// Build the context the round engine hands to `client_index` in `round`.
 /// Exposed so tests and benches that drive TrainLocal directly get the same

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -164,12 +163,8 @@ FlLog FederatedAveraging::RunRounds(ClientStore& store, std::uint64_t run_seed,
     // each context is derived from (run_seed, round, client id), so the
     // result is independent of how — or on which dispatch backend — workers
     // are scheduled.
-    float lr_scale = 1.0f;
-    if (options_.lr_decay_every != 0) {
-      const auto steps =
-          static_cast<float>((round - 1) / options_.lr_decay_every);
-      lr_scale = std::pow(options_.lr_decay, steps);
-    }
+    const float lr_scale =
+        LrScaleAtRound(options_.lr_decay, options_.lr_decay_every, round);
     std::vector<ModelState> updates(m);
     std::vector<float> losses(m, 0.0f);
     // CIP_ANALYZE_OK(det-wallclock): telemetry: per-round train duration recorded in RoundStats

@@ -18,9 +18,9 @@
 // surviving updates stream through a fixed-order tree reduction
 // (fl/aggregate.h). Because every context's RNG stream is a pure function
 // of (run seed, round, client id) and every fold order is fixed, results
-// are bit-identical for any CIP_THREADS value, either dispatch backend
-// (pool or CIP_SPAWN_THREADS=1 spawn-per-call), any hot-set byte budget,
-// and spilled-vs-resident client records. Server memory is O(hot budget +
+// are bit-identical for any CIP_THREADS value, either dispatch path (the
+// worker pool or its busy-pool fallback), any hot-set byte budget, and
+// spilled-vs-resident client records. Server memory is O(hot budget +
 // sampled cohort), never O(registered fleet).
 //
 // Fault tolerance: an FlOptions::faults plan injects deterministic client

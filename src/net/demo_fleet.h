@@ -1,12 +1,12 @@
-// Shared demo fleet for the socket server's binaries, tests, and bench.
+// Shared demo fleet for the socket server's binaries and end-to-end tests.
 //
 // The wire bit-identity claim — cip_server over sockets equals
 // FederatedAveraging in-process — is only checkable when both sides build
 // the *same* fleet from the same pure id -> spec function. This header is
-// that function: cip_server, cip_client, tests/test_net_e2e.cpp and
-// bench/bench_server.cpp all construct their clients and initial broadcast
-// state here, so "client k" means the identical model, data shard, and seed
-// in every process involved.
+// that function: cip_server, cip_client and tests/test_net_e2e.cpp all
+// construct their clients and initial broadcast state here, so "client k"
+// means the identical model, data shard, and seed in every process
+// involved.
 //
 // Lives in its own library (cip_net_demo) because ClientSpec pulls in
 // cip_fl_factory (and with it the concrete client libraries); the core net

@@ -1,11 +1,11 @@
 #include "net/round_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/check.h"
 #include "fl/aggregate.h"
+#include "fl/round_context.h"
 
 namespace cip::net {
 
@@ -24,19 +24,11 @@ AsyncRoundEngine::AsyncRoundEngine(fl::ModelState initial, Options options)
                 "lr_decay must be in (0, 1]");
 }
 
-float AsyncRoundEngine::LrScaleFor(std::size_t round) const {
-  // Same schedule as the in-process engine (fl/server.cpp): one lr_decay
-  // factor per completed lr_decay_every block. Matching it is part of the
-  // wire/in-process bit-identity contract.
-  if (options_.lr_decay_every == 0) return 1.0f;
-  const auto steps = static_cast<float>((round - 1) / options_.lr_decay_every);
-  return std::pow(options_.lr_decay, steps);
-}
-
 std::string AsyncRoundEngine::RoundFrame() const {
   RoundMsg m;
   m.round = round_;
-  m.lr_scale = LrScaleFor(round_);
+  m.lr_scale =
+      fl::LrScaleAtRound(options_.lr_decay, options_.lr_decay_every, round_);
   m.global = global_;
   return EncodeRound(m);
 }

@@ -141,7 +141,6 @@ class AsyncRoundEngine {
   std::vector<EngineSend> ProtocolError(std::uint64_t client_id);
   /// The kRound frame for the current round (encodes the global once).
   std::string RoundFrame() const;
-  float LrScaleFor(std::size_t round) const;
 
   struct Buffered {
     fl::ModelState update;

@@ -1,12 +1,13 @@
 // Dispatcher-layer tests: the CPUID probe, strict CIP_ISA parsing, the
 // bind-once GEMM kernel registry, per-ISA parity against a double-precision
-// oracle, within-ISA bit-identity across dispatch backends, and the PackedB
-// per-ISA layout invalidation consumed by Linear/Conv2d weight caches.
+// oracle, and the PackedB per-ISA layout invalidation consumed by
+// Linear/Conv2d weight caches. Within-ISA bit-identity across dispatch paths
+// lives in tests/test_parallel_stress.cpp, which may start the second
+// top-level thread it needs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -227,27 +228,6 @@ TEST(GemmIsa, ForcedPortableMatchesAutoWithinPinnedTolerance) {
   // Same values up to FMA-contraction rounding; bit-identical when auto
   // resolves to portable.
   ExpectTensorsNear(auto_c, portable_c, 1e-5, "auto vs portable");
-}
-
-TEST(GemmIsa, BitIdenticalAcrossDispatchBackendsWithinIsa) {
-  // Within one bound ISA the row-block partition is fixed, so pool and
-  // legacy spawn dispatch must produce byte-equal output (the per-ISA
-  // extension of ParallelStress.GemmBitIdenticalAcrossDispatchModes).
-  const Tensor a = RandomTensor({128, 128}, 5);
-  const Tensor b = RandomTensor({128, 128}, 6);
-  for (const IsaRequest req : UsableRequests()) {
-    IsaGuard guard(req);
-    SCOPED_TRACE(::testing::Message()
-                 << "isa=" << IsaName(ops::ActiveGemmIsa()));
-    const Tensor pool_c = ops::Matmul(a, b);
-    internal::SetSpawnPerCallForTesting(true);
-    const Tensor spawn_c = ops::Matmul(a, b);
-    internal::SetSpawnPerCallForTesting(false);
-    ASSERT_EQ(pool_c.size(), spawn_c.size());
-    EXPECT_EQ(std::memcmp(pool_c.data(), spawn_c.data(),
-                          pool_c.size() * sizeof(float)),
-              0);
-  }
 }
 
 TEST(GemmIsa, PackedBRecordsIsaAndRejectsStaleLayout) {

@@ -1,73 +1,17 @@
-// Tests for the FL extras: secure aggregation, serialization, partial
-// participation, and learning-rate schedules across rounds.
+// Tests for the FL extras: serialization, partial participation, and
+// learning-rate schedules across rounds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
 
 #include "fl/client.h"
-#include "fl/secure_agg.h"
 #include "fl/serialize.h"
 #include "fl/server.h"
 #include "testing_util.h"
 
 namespace cip {
 namespace {
-
-// ---- secure aggregation ------------------------------------------------------
-
-TEST(SecureAgg, MasksCancelInAggregate) {
-  Rng rng(1);
-  const std::size_t clients = 4, dim = 64;
-  std::vector<fl::ModelState> updates;
-  for (std::size_t k = 0; k < clients; ++k) {
-    std::vector<float> v(dim);
-    for (float& x : v) x = rng.Normal();
-    updates.emplace_back(std::move(v));
-  }
-  const fl::ModelState plain_avg = fl::ModelState::Average(updates);
-
-  fl::SecureAggregation agg(0xABCDEF);
-  std::vector<fl::ModelState> masked;
-  for (std::size_t k = 0; k < clients; ++k) {
-    masked.push_back(agg.MaskUpdate(updates[k], k, clients));
-  }
-  const fl::ModelState secure_avg = fl::SecureAggregation::Aggregate(masked);
-  for (std::size_t i = 0; i < dim; ++i) {
-    EXPECT_NEAR(secure_avg.values()[i], plain_avg.values()[i], 1e-4f);
-  }
-}
-
-TEST(SecureAgg, IndividualMaskedUpdatesAreHidden) {
-  Rng rng(2);
-  const std::size_t dim = 128;
-  std::vector<float> v(dim, 0.0f);  // an all-zero "update" — easy to spot
-  const fl::ModelState update{std::vector<float>(v)};
-  fl::SecureAggregation agg(0x1234);
-  const fl::ModelState masked = agg.MaskUpdate(update, 0, 3);
-  // The server's view of the individual update is dominated by the masks.
-  EXPECT_GT(masked.L2Norm(), 5.0f);
-}
-
-TEST(SecureAgg, DifferentSessionsGiveDifferentMasks) {
-  const fl::ModelState update{std::vector<float>(32, 0.0f)};
-  fl::SecureAggregation a(1), b(2);
-  const fl::ModelState ma = a.MaskUpdate(update, 0, 2);
-  const fl::ModelState mb = b.MaskUpdate(update, 0, 2);
-  float diff = 0.0f;
-  for (std::size_t i = 0; i < 32; ++i) {
-    diff += std::abs(ma.values()[i] - mb.values()[i]);
-  }
-  EXPECT_GT(diff, 1.0f);
-}
-
-TEST(SecureAgg, SingleClientIsUnmasked) {
-  const fl::ModelState update{std::vector<float>{1.0f, 2.0f}};
-  fl::SecureAggregation agg(7);
-  const fl::ModelState masked = agg.MaskUpdate(update, 0, 1);
-  EXPECT_FLOAT_EQ(masked.values()[0], 1.0f);
-  EXPECT_FLOAT_EQ(masked.values()[1], 2.0f);
-}
 
 // ---- serialization -----------------------------------------------------------
 

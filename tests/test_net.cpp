@@ -25,6 +25,7 @@
 #include "fl/aggregate.h"
 #include "fl/client_factory.h"
 #include "fl/model_state.h"
+#include "fl/server.h"
 #include "net/frame.h"
 #include "net/round_engine.h"
 #include "net/server.h"
@@ -580,6 +581,62 @@ TEST(AsyncRoundEngine, InFlightStragglerAtRunEndGetsFinalNotAnError) {
   // The post-final update is not aggregated: the run's global is client 0's
   // round alone.
   EXPECT_TRUE(SameBits(eng.global(), SmallState(2.0f)));
+}
+
+TEST(AsyncRoundEngine, LrScaleMatchesInProcessSchedule) {
+  // Part of the wire/in-process bit-identity contract: under an LR decay,
+  // every kRound frame carries exactly the lr_scale bits FederatedAveraging
+  // hands its clients through RoundContext for the same round.
+  constexpr std::size_t kRounds = 5;
+  struct ScaleProbe : fl::ClientBase {
+    std::vector<float> scales;
+    data::Dataset data;
+    fl::ModelState state;
+
+    void SetGlobal(const fl::ModelState& global) override { state = global; }
+    fl::ModelState TrainLocal(fl::RoundContext ctx) override {
+      scales.push_back(ctx.lr_scale);
+      return state;
+    }
+    double EvalAccuracy(const data::Dataset&) override { return 0.0; }
+    float LastTrainLoss() const override { return 0.0f; }
+    const data::Dataset& LocalData() const override { return data; }
+  };
+  ScaleProbe probe;
+  fl::ClientBase* ptr = &probe;
+  fl::FlOptions fl_opts;
+  fl_opts.rounds = kRounds;
+  fl_opts.lr_decay = 0.5f;
+  fl_opts.lr_decay_every = 2;
+  fl::FederatedAveraging server(SmallState(1.0f), fl_opts);
+  fl::ClientStore store{std::span<fl::ClientBase* const>(&ptr, 1)};
+  server.Run(store, 7);
+
+  net::AsyncRoundEngine::Options opts = EngineOpts(kRounds, 1, 1);
+  opts.lr_decay = fl_opts.lr_decay;
+  opts.lr_decay_every = fl_opts.lr_decay_every;
+  net::AsyncRoundEngine eng(SmallState(1.0f), opts);
+  std::vector<float> wire;
+  std::vector<net::EngineSend> sends = eng.OnJoin(0);
+  for (std::uint64_t round = 1; round <= kRounds; ++round) {
+    for (const net::EngineSend& send : sends) {
+      net::FrameReader reader;
+      reader.Feed(send.frame);
+      while (auto f = reader.Next()) {
+        if (f->type == net::MsgType::kRound) {
+          wire.push_back(net::DecodeRound(f->payload).lr_scale);
+        }
+      }
+    }
+    sends = eng.OnUpdate(0, Update(0, round, 1.0f));
+  }
+
+  ASSERT_EQ(probe.scales.size(), kRounds);
+  ASSERT_EQ(wire.size(), kRounds);
+  EXPECT_EQ(std::memcmp(wire.data(), probe.scales.data(),
+                        kRounds * sizeof(float)),
+            0);
+  EXPECT_EQ(wire.back(), 0.25f);  // the decay really applied: 0.5^2
 }
 
 // ---- admission control on the query path -----------------------------------

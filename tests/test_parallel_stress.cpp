@@ -2,10 +2,10 @@
 // persistent worker pool — and the federated round engine built on them:
 // TSan-visible write patterns, spawn storms across changing budgets, nested
 // dispatch from inside a worker, exception propagation from workers, the
-// legacy CIP_SPAWN_THREADS=1 spawn-per-call path, and strict CIP_THREADS
-// parsing. Designed to run under the `tsan` preset — the overlapping-write
-// scenarios only touch shared state through atomics, so a clean run
-// certifies the harness itself is race-free.
+// busy-pool fallback taken while another top-level thread owns the pool,
+// and strict CIP_THREADS parsing. Designed to run under the `tsan` preset —
+// the overlapping-write scenarios only touch shared state through atomics,
+// so a clean run certifies the harness itself is race-free.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,12 +22,14 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/cpu_features.h"
 #include "common/env.h"
 #include "common/parallel.h"
 #include "data/partition.h"
 #include "fl/client_factory.h"
 #include "fl/server.h"
 #include "nn/conv2d.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/ops.h"
 #include "testing_util.h"
 
@@ -36,6 +38,30 @@ namespace {
 
 constexpr std::size_t kN = 1 << 15;
 constexpr std::size_t kThreads = 4;  // force real workers even on 1-core CI
+
+/// Runs `fn` while a second top-level thread owns the worker pool, so every
+/// parallel region `fn` issues takes the busy-pool fallback: helper threads
+/// spawned per call, re-chunked by the fallback's own budget. Allowlisted
+/// raw-thread use, as in ConcurrentTopLevelRegionsMakeProgress.
+template <typename Fn>
+void WithPoolHeldElsewhere(Fn&& fn) {
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  const std::jthread holder([&] {
+    ParallelForCoarse(0, 2, [&](std::size_t) {
+      held.store(true);
+      while (!release.load()) std::this_thread::yield();
+    }, 2);
+  });
+  // Declared after `holder`, so the holder is released (even if fn throws)
+  // before its jthread joins.
+  struct Releaser {
+    std::atomic<bool>& flag;
+    ~Releaser() { flag.store(true); }
+  } releaser{release};
+  while (!held.load()) std::this_thread::yield();
+  fn();
+}
 
 TEST(ParallelStress, DisjointWritesCoverRange) {
   std::vector<int> hits(kN, 0);
@@ -271,20 +297,20 @@ TEST(ParallelStress, DistinctWorkersActuallyParticipate) {
 }
 
 TEST(ParallelStress, SpawnPerCallPathStillWorks) {
-  // The legacy CIP_SPAWN_THREADS=1 dispatch (a thread per chunk, per call)
-  // stays behaviorally identical: disjoint writes, exception propagation,
-  // and determinism of the chunk partition.
-  internal::SetSpawnPerCallForTesting(true);
-  std::vector<int> hits(kN, 0);
-  ParallelFor(0, kN, [&](std::size_t i) { hits[i] += 1; }, kThreads);
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
-            static_cast<int>(kN));
-  EXPECT_THROW(
-      ParallelFor(0, kN, [](std::size_t i) {
-        if (i == 99) throw std::runtime_error("spawned worker failed");
-      }, kThreads),
-      std::runtime_error);
-  internal::SetSpawnPerCallForTesting(false);
+  // The busy-pool fallback (helper threads spawned per call) keeps the
+  // pool's contract: disjoint writes cover the range exactly once and a
+  // runner's exception reaches the caller.
+  WithPoolHeldElsewhere([] {
+    std::vector<int> hits(kN, 0);
+    ParallelFor(0, kN, [&](std::size_t i) { hits[i] += 1; }, kThreads);
+    EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
+              static_cast<int>(kN));
+    EXPECT_THROW(
+        ParallelFor(0, kN, [](std::size_t i) {
+          if (i == 99) throw std::runtime_error("spawned worker failed");
+        }, kThreads),
+        std::runtime_error);
+  });
 }
 
 TEST(ParallelStress, PoolIsReusableAfterException) {
@@ -302,23 +328,53 @@ TEST(ParallelStress, PoolIsReusableAfterException) {
 }
 
 TEST(ParallelStress, GemmBitIdenticalAcrossDispatchModes) {
-  // The chunk partition depends only on (range, budget), never on which
-  // thread runs a chunk — so a parallel GEMM must be bit-identical between
-  // the pool and the legacy spawn path. This is the kernel-level half of the
-  // FL round bit-identity invariant (tests/test_round_engine.cpp holds the
-  // round-level half).
+  // A GEMM index is one row block, whatever chunk it lands in — so a
+  // parallel GEMM must be bit-identical between the pool and the busy-pool
+  // fallback, which groups the row blocks into different chunks. This is the
+  // kernel-level half of the FL round bit-identity invariant
+  // (tests/test_round_engine.cpp holds the round-level half).
   Rng rng(123);
   Tensor a({128, 128}), b({128, 128});
   for (float& v : a.flat()) v = rng.Normal();
   for (float& v : b.flat()) v = rng.Normal();
   const Tensor pool_c = ops::Matmul(a, b);
-  internal::SetSpawnPerCallForTesting(true);
-  const Tensor spawn_c = ops::Matmul(a, b);
-  internal::SetSpawnPerCallForTesting(false);
-  ASSERT_EQ(pool_c.size(), spawn_c.size());
-  EXPECT_EQ(std::memcmp(pool_c.data(), spawn_c.data(),
+  Tensor fallback_c;
+  WithPoolHeldElsewhere([&] { fallback_c = ops::Matmul(a, b); });
+  ASSERT_EQ(pool_c.size(), fallback_c.size());
+  EXPECT_EQ(std::memcmp(pool_c.data(), fallback_c.data(),
                         pool_c.size() * sizeof(float)),
             0);
+}
+
+TEST(GemmIsa, BitIdenticalAcrossDispatchBackendsWithinIsa) {
+  // The per-ISA extension of GemmBitIdenticalAcrossDispatchModes: within one
+  // bound ISA the row-block partition is fixed, so the pool and the busy-pool
+  // fallback must produce byte-equal output. Requests clamp down to what the
+  // host supports, so every kernel it has is covered.
+  struct IsaRestore {
+    ~IsaRestore() {
+      internal::SetIsaRequestForTesting(IsaRequest::kAuto);
+      ops::internal::ResetGemmBindingForTesting();
+    }
+  } restore;
+  Rng rng(5);
+  Tensor a({128, 128}), b({128, 128});
+  for (float& v : a.flat()) v = rng.Normal();
+  for (float& v : b.flat()) v = rng.Normal();
+  for (const IsaRequest req :
+       {IsaRequest::kPortable, IsaRequest::kAvx2, IsaRequest::kAvx512}) {
+    internal::SetIsaRequestForTesting(req);
+    ops::internal::ResetGemmBindingForTesting();
+    SCOPED_TRACE(::testing::Message()
+                 << "isa=" << IsaName(ops::ActiveGemmIsa()));
+    const Tensor pool_c = ops::Matmul(a, b);
+    Tensor fallback_c;
+    WithPoolHeldElsewhere([&] { fallback_c = ops::Matmul(a, b); });
+    ASSERT_EQ(pool_c.size(), fallback_c.size());
+    EXPECT_EQ(std::memcmp(pool_c.data(), fallback_c.data(),
+                          pool_c.size() * sizeof(float)),
+              0);
+  }
 }
 
 TEST(ParallelStress, ConcurrentTopLevelRegionsMakeProgress) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -292,6 +294,58 @@ TEST(ClientFactory, MakeCipClientRejectsOtherKinds) {
   spec.model = MlpSpec(4, 2);
   spec.data = BlobData(16, 4, 94);
   EXPECT_THROW(fl::MakeCipClient(spec), CheckError);
+}
+
+// ---- concurrent client phase ------------------------------------------------
+
+TEST(RoundEngine, ClientPhaseRunsConcurrently) {
+  // Four live clients meet inside TrainLocal: each checks in, then waits for
+  // the other three. The meeting completes only if the engine really runs
+  // the client phase on four concurrent runners at max_parallel_clients = 4;
+  // otherwise the waits run out at a shared deadline and the test fails
+  // instead of hanging.
+  constexpr int kParty = 4;
+  struct Meeting {
+    std::atomic<int> arrived{0};
+    std::chrono::steady_clock::time_point deadline;
+  };
+  struct MeetingClient : fl::ClientBase {
+    Meeting* meeting = nullptr;
+    bool met = false;
+    data::Dataset data;
+    fl::ModelState state;
+
+    void SetGlobal(const fl::ModelState& global) override { state = global; }
+    fl::ModelState TrainLocal(fl::RoundContext /*ctx*/) override {
+      meeting->arrived.fetch_add(1);
+      while (meeting->arrived.load() < kParty &&
+             std::chrono::steady_clock::now() < meeting->deadline) {
+      }
+      met = meeting->arrived.load() == kParty;
+      return state;
+    }
+    double EvalAccuracy(const data::Dataset&) override { return 0.0; }
+    float LastTrainLoss() const override { return 0.0f; }
+    const data::Dataset& LocalData() const override { return data; }
+  };
+
+  Meeting meeting;
+  meeting.deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  std::vector<MeetingClient> clients(kParty);
+  std::vector<fl::ClientBase*> ptrs;
+  for (MeetingClient& c : clients) {
+    c.meeting = &meeting;
+    ptrs.push_back(&c);
+  }
+  fl::FlOptions opts;
+  opts.rounds = 1;
+  opts.max_parallel_clients = kParty;
+  fl::FederatedAveraging server(fl::ModelState(std::vector<float>{0.0f}),
+                                opts);
+  fl::ClientStore store{std::span<fl::ClientBase* const>(ptrs)};
+  server.Run(store, 97);
+  for (const MeetingClient& c : clients) EXPECT_TRUE(c.met);
 }
 
 // ---- server-side LR schedule ------------------------------------------------

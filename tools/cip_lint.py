@@ -28,9 +28,7 @@ Rules (see README "Correctness tooling"):
                   `<shared_mutex>` is banned outside the parallel.cpp
                   allowlist (raw-thread confines construction; this confines
                   the headers themselves, so threading primitives cannot
-                  creep in under any spelling). Benchmarks that drive
-                  concurrent top-level callers are allowlisted like the
-                  stress test.
+                  creep in under any spelling).
   intrinsic-include
                   x86 SIMD intrinsic headers (<immintrin.h> and friends)
                   are banned outside the per-ISA GEMM kernel TUs
@@ -114,14 +112,10 @@ ALLOWLIST = {
     # external caller thread, which the library API cannot produce (anything
     # it launches is nested and runs inline).
     "raw-thread": {"src/common/parallel.cpp", "tests/test_parallel_stress.cpp"},
-    # Same confinement at the preprocessor level. The two FL benchmarks
-    # drive concurrent top-level callers (pool-busy fallback coverage), so
-    # they legitimately stand up their own threads like the stress test.
+    # Same confinement at the preprocessor level.
     "thread-include": {
         "src/common/parallel.cpp",
         "tests/test_parallel_stress.cpp",
-        "bench/bench_fault_rounds.cpp",
-        "bench/bench_fl_rounds.cpp",
     },
     # The only TUs allowed to see raw x86 intrinsics: the per-ISA GEMM
     # microkernels, compiled with their own -m flags and reached exclusively
@@ -421,8 +415,7 @@ def check_bench_json(root: pathlib.Path) -> list[Violation]:
             out.append(Violation(
                 rel, 1, "bench-release",
                 f"baseline records host.cip_build_type={build_type!r}, not "
-                "'release'; regenerate with scripts/bench_baseline.sh "
-                "(Release build)"))
+                "'release'; regenerate it from a Release build"))
     return out
 
 
