@@ -2,9 +2,11 @@
 //
 // Measures the ServeEngine (src/serve) end to end and exits non-zero when a
 // check fails:
-//   1. t-cache — queries/sec with a cold cache (every lookup materializes a
-//      client through the store factory) vs a warm cache (pure map hits);
-//      the warm pass must be all hits and faster than the cold one.
+//   1. t-cache — queries/sec with a cold cache (every entry invalidated
+//      first, so each lookup reads the store and, for a never-trained
+//      client, constructs it through the factory) vs a warm cache (pure map
+//      hits), each side's best of five alternating passes. Every cold lookup
+//      must miss, every warm lookup must hit, and warm must beat cold.
 //   2. fused throughput — B single-row queries from B distinct clients fused
 //      into one Flush, for B in {1, 16, 128}: queries/sec, rows/sec and
 //      p50/p99 per-flush latency of each size's best of five alternating
@@ -73,7 +75,7 @@ struct BenchConfig {
   std::size_t max_batch_rows = 128;
   std::vector<std::size_t> batch_sizes = {1, 16, 128};
   std::vector<std::size_t> batch_iters = {20000, 2000, 500};  ///< flushes
-  std::size_t repeats = 5;  ///< alternating passes the flushes split into
+  std::size_t repeats = 5;  ///< alternating passes per measured comparison
 };
 
 std::vector<fl::ClientSpec> MakeSpecs(const BenchConfig& cfg) {
@@ -224,21 +226,38 @@ int main() {
   for (float& v : row.flat()) v = rng.Normal();
 
   // ---- cold vs warm t-cache --------------------------------------------------
-  // Cold: every query materializes its client through the store factory to
-  // read t. Warm: the same sweep is pure map hits.
-  const Clock::time_point cold0 = Clock::now();
-  for (std::size_t k = 0; k < cfg.clients; ++k) (void)engine.Serve(k, row);
-  const double cold_seconds = SecondsSince(cold0);
-  const std::size_t cold_misses = engine.stats().t_misses;
-
-  const Clock::time_point warm0 = Clock::now();
-  for (std::size_t k = 0; k < cfg.clients; ++k) (void)engine.Serve(k, row);
-  const double warm_seconds = SecondsSince(warm0);
-  const std::size_t warm_hits = engine.stats().t_hits;
+  // Cold: every entry is invalidated, so each query of the sweep misses and
+  // reads t through the store. Warm: the same sweep is pure map hits. A
+  // miss builds only the client's data and t (clients build their model on
+  // first use), so the two sides are close: each keeps its best of several
+  // alternating passes, so load from other processes slows both alike
+  // instead of deciding the comparison.
+  const auto sweep_qps = [&] {
+    const Clock::time_point t0 = Clock::now();
+    for (std::size_t k = 0; k < cfg.clients; ++k) (void)engine.Serve(k, row);
+    return static_cast<double>(cfg.clients) / SecondsSince(t0);
+  };
+  double cold_qps = 0.0, warm_qps = 0.0;
+  std::size_t cold_misses = 0, warm_hits = 0;
+  bool passes_clean = true;
+  for (std::size_t r = 0; r < cfg.repeats; ++r) {
+    for (std::size_t k = 0; k < cfg.clients; ++k) engine.InvalidateClient(k);
+    const serve::ServeStats before = engine.stats();
+    cold_qps = std::max(cold_qps, sweep_qps());
+    const serve::ServeStats cold = engine.stats();
+    warm_qps = std::max(warm_qps, sweep_qps());
+    const serve::ServeStats warm = engine.stats();
+    cold_misses += cold.t_misses - before.t_misses;
+    warm_hits += warm.t_hits - cold.t_hits;
+    passes_clean = passes_clean &&
+                   cold.t_misses - before.t_misses == cfg.clients &&
+                   cold.t_hits == before.t_hits &&
+                   warm.t_hits - cold.t_hits == cfg.clients &&
+                   warm.t_misses == cold.t_misses;
+  }
+  const std::size_t lookups = cfg.repeats * cfg.clients;
   const double warm_hit_rate =
-      static_cast<double>(warm_hits) / static_cast<double>(cfg.clients);
-  const double cold_qps = static_cast<double>(cfg.clients) / cold_seconds;
-  const double warm_qps = static_cast<double>(cfg.clients) / warm_seconds;
+      static_cast<double>(warm_hits) / static_cast<double>(lookups);
 
   // ---- fused throughput at batch 1 / 16 / 128 --------------------------------
   // Warm up every staging arena at the largest batch, then require the
@@ -319,11 +338,11 @@ int main() {
 
   // ---- gates -----------------------------------------------------------------
   bench::Gate gate;
-  gate.Check(cold_misses == cfg.clients && warm_hits == cfg.clients,
-             "t-cache passes cleanly cold then warm (" +
+  gate.Check(passes_clean,
+             "every cold pass all misses, every warm pass all hits (" +
                  std::to_string(cold_misses) + " misses, " +
                  std::to_string(warm_hits) + " hits of " +
-                 std::to_string(cfg.clients) + ")");
+                 std::to_string(lookups) + " lookups per side)");
   gate.Check(alloc_free, "measured serving loops allocation-free");
   gate.Check(wire_identical,
              "wire kQuery bit-identical to in-process Serve");

@@ -9,7 +9,7 @@ namespace cip::core {
 
 CipClient::CipClient(const nn::ModelSpec& spec, data::Dataset local_data,
                      CipConfig cfg, std::uint64_t seed)
-    : model_(nn::MakeDualChannelClassifier(spec)),
+    : spec_(spec),
       data_(std::move(local_data)),
       cfg_(std::move(cfg)),
       opt_(cfg_.train.lr, cfg_.train.momentum, cfg_.train.weight_decay,
@@ -28,8 +28,13 @@ CipClient::CipClient(const nn::ModelSpec& spec, data::Dataset local_data,
   }
 }
 
+nn::DualChannelClassifier& CipClient::model() {
+  if (!model_) model_ = nn::MakeDualChannelClassifier(spec_);
+  return *model_;
+}
+
 void CipClient::SetGlobal(const fl::ModelState& global) {
-  const std::vector<nn::Parameter*> params = model_->Parameters();
+  const std::vector<nn::Parameter*> params = model().Parameters();
   global.ApplyTo(params);
 }
 
@@ -55,19 +60,20 @@ fl::ModelState CipClient::TrainLocal(fl::RoundContext ctx) {
     ctx.telemetry->step2_seconds = seconds_since(step2_t0);
   }
   last_loss_ = loss;
-  const std::vector<nn::Parameter*> params = model_->Parameters();
+  const std::vector<nn::Parameter*> params = model().Parameters();
   return fl::ModelState::From(params);
 }
 
 void CipClient::StepIOptimizePerturbation(Rng& rng) {
-  OptimizePerturbation(*model_, data_, t_.tensor(), cfg_.blend, cfg_.lambda_t,
+  OptimizePerturbation(model(), data_, t_.tensor(), cfg_.blend, cfg_.lambda_t,
                        cfg_.lr_t, cfg_.perturb_steps, cfg_.perturb_batch,
                        rng);
 }
 
 float CipClient::StepIITrainModel(Rng& rng) {
+  nn::DualChannelClassifier& net = model();
   const std::vector<std::size_t> perm = rng.Permutation(data_.size());
-  const std::vector<nn::Parameter*> params = model_->Parameters();
+  const std::vector<nn::Parameter*> params = net.Parameters();
   const Tensor empty_t;  // raw-query path B(x, 0)
   double total_loss = 0.0;
   std::size_t batches = 0;
@@ -83,11 +89,11 @@ float CipClient::StepIITrainModel(Rng& rng) {
 
     // Minimize CE on the blended data D_t.
     const Blended blended = Blend(inputs, t_.tensor(), cfg_.blend);
-    const Tensor logits = model_->Forward(blended.c1, blended.c2, true);
+    const Tensor logits = net.Forward(blended.c1, blended.c2, true);
     Tensor dlogits;
     const float loss =
         ops::SoftmaxCrossEntropy(logits, batch.labels, &dlogits);
-    model_->Backward(dlogits);
+    net.Backward(dlogits);
 
     // Maximize CE on the raw-query path (weight λ_m): descend on −λ_m·CE,
     // but only while the raw loss is below the non-member ceiling — original
@@ -96,17 +102,17 @@ float CipClient::StepIITrainModel(Rng& rng) {
       const float ceiling =
           cfg_.raw_loss_ceiling > 0.0f
               ? cfg_.raw_loss_ceiling
-              : std::log(static_cast<float>(model_->num_classes()));
+              : std::log(static_cast<float>(net.num_classes()));
       const Blended raw = Blend(inputs, empty_t, cfg_.blend);
-      const Tensor raw_logits = model_->Forward(raw.c1, raw.c2, true);
+      const Tensor raw_logits = net.Forward(raw.c1, raw.c2, true);
       Tensor raw_dlogits;
       const float raw_loss =
           ops::SoftmaxCrossEntropy(raw_logits, batch.labels, &raw_dlogits);
       if (raw_loss < ceiling) {
         ops::ScaleInPlace(raw_dlogits, -cfg_.lambda_m);
-        model_->Backward(raw_dlogits);
+        net.Backward(raw_dlogits);
       } else {
-        model_->ClearCache();  // drop the unused forward caches
+        net.ClearCache();  // drop the unused forward caches
       }
     }
 
@@ -135,12 +141,12 @@ void CipClient::RestoreState(const fl::ClientState& state) {
 }
 
 double CipClient::EvalAccuracy(const data::Dataset& data) {
-  return DualAccuracy(*model_, data, t_.tensor(), cfg_.blend);
+  return DualAccuracy(model(), data, t_.tensor(), cfg_.blend);
 }
 
 float CipClient::BlendedDataLoss() {
   const std::vector<float> losses =
-      DualLosses(*model_, data_, t_.tensor(), cfg_.blend);
+      DualLosses(model(), data_, t_.tensor(), cfg_.blend);
   double s = 0.0;
   for (float l : losses) s += l;
   return losses.empty() ? 0.0f : static_cast<float>(s / losses.size());

@@ -58,7 +58,12 @@ class CipClient : public fl::ClientBase {
   void RestoreState(const fl::ClientState& state) override;
 
   /// The client's dual-channel model (mutable: evaluation helpers feed it).
-  nn::DualChannelClassifier& model() { return *model_; }
+  /// Built from the spec on the first call that needs it — this accessor,
+  /// SetGlobal, TrainLocal, EvalAccuracy or BlendedDataLoss — so a client
+  /// constructed only to read its state (the serving t-cache's miss path)
+  /// never initializes weights it does not read. The model's init stream is
+  /// Rng(spec.seed), separate from t's, so when it is built changes no byte.
+  nn::DualChannelClassifier& model();
   const Tensor& perturbation() const { return t_.tensor(); }
   const CipConfig& config() const { return cfg_; }
 
@@ -70,7 +75,8 @@ class CipClient : public fl::ClientBase {
   void StepIOptimizePerturbation(Rng& rng);
   float StepIITrainModel(Rng& rng);
 
-  std::unique_ptr<nn::DualChannelClassifier> model_;
+  nn::ModelSpec spec_;
+  std::unique_ptr<nn::DualChannelClassifier> model_;  ///< null until model()
   data::Dataset data_;
   CipConfig cfg_;
   optim::Sgd opt_;

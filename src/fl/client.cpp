@@ -11,7 +11,7 @@ void ClientBase::RestoreState(const ClientState& state) {
 
 LegacyClient::LegacyClient(const nn::ModelSpec& spec, data::Dataset local_data,
                            TrainConfig train_cfg, std::uint64_t /*seed*/)
-    : model_(nn::MakeClassifier(spec)),
+    : spec_(spec),
       data_(std::move(local_data)),
       cfg_(train_cfg),
       opt_(train_cfg.lr, train_cfg.momentum, train_cfg.weight_decay,
@@ -19,8 +19,13 @@ LegacyClient::LegacyClient(const nn::ModelSpec& spec, data::Dataset local_data,
   CIP_CHECK(!data_.empty());
 }
 
+nn::Classifier& LegacyClient::model() {
+  if (!model_) model_ = nn::MakeClassifier(spec_);
+  return *model_;
+}
+
 void LegacyClient::SetGlobal(const ModelState& global) {
-  const std::vector<nn::Parameter*> params = model_->Parameters();
+  const std::vector<nn::Parameter*> params = model().Parameters();
   global.ApplyTo(params);
 }
 
@@ -28,15 +33,15 @@ ModelState LegacyClient::TrainLocal(RoundContext ctx) {
   opt_.set_lr(ctx.LrFor(cfg_));
   float loss = 0.0f;
   for (std::size_t e = 0; e < cfg_.epochs; ++e) {
-    loss = TrainEpoch(*model_, data_, opt_, cfg_, ctx.rng);
+    loss = TrainEpoch(model(), data_, opt_, cfg_, ctx.rng);
   }
   last_loss_ = loss;
-  const std::vector<nn::Parameter*> params = model_->Parameters();
+  const std::vector<nn::Parameter*> params = model().Parameters();
   return ModelState::From(params);
 }
 
 double LegacyClient::EvalAccuracy(const data::Dataset& data) {
-  return Evaluate(*model_, data);
+  return Evaluate(model(), data);
 }
 
 ClientState LegacyClient::ExportState() const {

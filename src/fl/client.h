@@ -79,11 +79,16 @@ class LegacyClient : public ClientBase {
   ClientState ExportState() const override;
   void RestoreState(const ClientState& state) override;
 
-  /// The client's local model (mutable: evaluation helpers feed it).
-  nn::Classifier& model() { return *model_; }
+  /// The client's local model (mutable: evaluation helpers feed it). Built
+  /// from the spec on the first call that needs it — this accessor,
+  /// SetGlobal, TrainLocal or EvalAccuracy — so constructing a client to
+  /// read or restore its state initializes no weights. The init stream is
+  /// Rng(spec.seed), so when the model is built changes no byte.
+  nn::Classifier& model();
 
  private:
-  std::unique_ptr<nn::Classifier> model_;
+  nn::ModelSpec spec_;
+  std::unique_ptr<nn::Classifier> model_;  ///< null until model()
   data::Dataset data_;
   TrainConfig cfg_;
   optim::Sgd opt_;

@@ -12,7 +12,9 @@
 //    queries is re-read exactly once (counted as `t_stale`), while the
 //    steady state is a pure map hit with zero allocations. Never-
 //    participated clients materialize ephemerally through the store's pure
-//    factory for their construction-time t.
+//    factory for their construction-time t; clients build their model on
+//    first use, so such a miss pays for the client's data and t, never for
+//    model weights.
 //  * Fused blend+forward: Enqueue copies request rows into a grow-once
 //    arena; Flush packs whole requests into [ΣN, ...] dual-channel chunks
 //    of at most max_batch_rows rows, blends every client's rows directly

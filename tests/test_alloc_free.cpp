@@ -25,6 +25,7 @@
 #include "common/rng.h"
 #include "core/cip_client.h"
 #include "data/partition.h"
+#include "data/synthetic.h"
 #include "fl/client_factory.h"
 #include "nn/backbones.h"
 #include "nn/conv2d.h"
@@ -211,6 +212,39 @@ TEST(AllocFree, TrainStepSteadyStateAllocationIsBounded) {
     const std::uint64_t before = AllocCount();
     for (int i = 0; i < 5; ++i) step.run();
     EXPECT_EQ(AllocCount() - before, 5 * per_step);
+  }
+}
+
+TEST(AllocFree, MakingAClientToReadItsStateBuildsNoModel) {
+  // The serving t-cache's miss path constructs a never-trained client only
+  // to read its state. Clients build their model on first use, so that
+  // construction plus ExportState allocates fewer tensors than building the
+  // model alone would.
+  Rng rng(23);
+  const data::SyntheticPurchase gen(data::Purchase50Like());
+  fl::ClientSpec spec;
+  spec.model.arch = nn::Arch::kMLP;
+  spec.model.input_shape = gen.SampleShape();
+  spec.model.num_classes = gen.config().num_classes;
+  spec.model.width = 16;
+  spec.model.seed = 3;
+  spec.data = gen.Sample(16, rng);
+  spec.seed = 9;
+  for (const fl::ClientKind kind :
+       {fl::ClientKind::kCip, fl::ClientKind::kLegacy}) {
+    spec.kind = kind;
+    const bool cip = kind == fl::ClientKind::kCip;
+    std::uint64_t before = AllocCount();
+    if (cip) {
+      (void)nn::MakeDualChannelClassifier(spec.model);
+    } else {
+      (void)nn::MakeClassifier(spec.model);
+    }
+    const std::uint64_t model_allocs = AllocCount() - before;
+    before = AllocCount();
+    (void)fl::MakeClient(spec)->ExportState();
+    EXPECT_LT(AllocCount() - before, model_allocs)
+        << (cip ? "kCip" : "kLegacy");
   }
 }
 

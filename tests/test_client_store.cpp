@@ -1,13 +1,16 @@
 // ClientStore lifecycle tests: the deterministic cohort sampler, the client
-// record codec and shard files under hostile bytes, and the store-level
+// record codec and shard files under hostile bytes, the store-level
 // bit-identity invariants (hot vs cold, spill vs resident, hot-set size,
-// worker budget, deprecated span adapter).
+// worker budget, deprecated span adapter), and the clients' first-use model
+// build, which must not depend on which call triggers it.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -272,6 +275,93 @@ TEST(ClientStore, BorrowedStoreMatchesColdFactoryStore) {
   const fl::FlLog via_cold =
       fl::FederatedAveraging(init, SmallRun(2)).Run(cold, 33);
   ExpectSameLog(via_borrowed, via_cold);
+}
+
+// ---- first-use model build ---------------------------------------------------
+
+/// The client's model parameters as a state (builds the model if it is not
+/// built yet).
+fl::ModelState ModelOf(fl::ClientBase& client, fl::ClientKind kind) {
+  if (kind == fl::ClientKind::kCip) {
+    return fl::ModelState::From(
+        static_cast<core::CipClient&>(client).model().Parameters());
+  }
+  return fl::ModelState::From(
+      static_cast<fl::LegacyClient&>(client).model().Parameters());
+}
+
+bool SameBits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+bool SameBits(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].shape() != b[i].shape() || !SameBits(a[i].flat(), b[i].flat())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ClientModel, FirstUseBuildKeepsInitialBytesInEveryOrder) {
+  // Clients build their model on the first call that needs it. Whichever
+  // call that is, the model starts from the spec's initial weights, and one
+  // round of training afterwards yields the same update and the same
+  // private state (t, momentum) byte for byte.
+  struct Order {
+    const char* name;
+    std::function<fl::ModelState(fl::ClientBase&, const fl::ClientSpec&)>
+        first_use;
+  };
+  const std::vector<Order> orders = {
+      {"model() first",
+       [](fl::ClientBase& c, const fl::ClientSpec& spec) {
+         return ModelOf(c, spec.kind);
+       }},
+      {"ExportState then model()",
+       [](fl::ClientBase& c, const fl::ClientSpec& spec) {
+         (void)c.ExportState();
+         return ModelOf(c, spec.kind);
+       }},
+      {"RestoreState then SetGlobal",
+       [](fl::ClientBase& c, const fl::ClientSpec& spec) {
+         c.RestoreState(fl::MakeClient(spec)->ExportState());
+         c.SetGlobal(fl::InitialStateFor(spec));
+         return ModelOf(c, spec.kind);
+       }},
+  };
+  for (const fl::ClientKind kind :
+       {fl::ClientKind::kCip, fl::ClientKind::kLegacy}) {
+    fl::ClientSpec spec = MakeSpecs(1)[0];
+    spec.kind = kind;
+    const fl::ModelState initial = kind == fl::ClientKind::kCip
+                                       ? core::InitialDualState(spec.model)
+                                       : fl::InitialState(spec.model);
+    fl::ModelState first_update;
+    std::vector<Tensor> first_state;
+    for (const Order& order : orders) {
+      SCOPED_TRACE(std::string(kind == fl::ClientKind::kCip ? "kCip: "
+                                                            : "kLegacy: ") +
+                   order.name);
+      std::unique_ptr<fl::ClientBase> client = fl::MakeClient(spec);
+      EXPECT_TRUE(
+          SameBits(order.first_use(*client, spec).values(), initial.values()));
+      client->SetGlobal(initial);
+      const fl::ModelState update =
+          client->TrainLocal(fl::MakeRoundContext(/*run_seed=*/9, 1, 0));
+      const std::vector<Tensor> state = client->ExportState().tensors;
+      if (first_state.empty()) {
+        first_update = update;
+        first_state = state;
+        ASSERT_FALSE(first_state.empty());  // momentum (and t) exist now
+        continue;
+      }
+      EXPECT_TRUE(SameBits(update.values(), first_update.values()));
+      EXPECT_TRUE(SameBits(state, first_state));
+    }
+  }
 }
 
 // ---- adversarial shard files -----------------------------------------------

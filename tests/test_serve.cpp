@@ -152,6 +152,54 @@ TEST(ServeEngine, ServeMatchesDualLogitsWithTheClientsT) {
   EXPECT_EQ(engine.stats().t_misses, 3u);
 }
 
+TEST(ServeEngine, MissServesTheConstructionTimeT) {
+  // A never-trained client's t is its construction-time init: uniform from
+  // Rng(seed), or mixed from the public init_seed when one is set
+  // (Knowledge-1). A miss must serve exactly those bytes, and the store
+  // must still hold no record for the client afterwards.
+  Tensor public_seed({kDim});
+  for (std::size_t i = 0; i < kDim; ++i) public_seed[i] = 0.2f * i;
+  constexpr float kNoiseWeight = 0.25f;
+  for (const bool seeded : {false, true}) {
+    SCOPED_TRACE(seeded ? "init_seed" : "random init");
+    std::vector<fl::ClientSpec> specs = CipSpecs(3);
+    if (seeded) {
+      for (fl::ClientSpec& spec : specs) {
+        spec.cip.init_seed = public_seed;
+        spec.cip.init_noise_weight = kNoiseWeight;
+      }
+    }
+    const std::unique_ptr<core::CipClient> global =
+        fl::MakeCipClient(specs[0]);
+    fl::ClientStore store = fl::MakeClientStore(specs);
+    serve::ServeOptions opts;
+    opts.blend = global->config().blend;
+    serve::ServeEngine engine(global->model(), store, opts);
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      const core::BlendConfig& blend = specs[k].cip.blend;
+      Rng init_rng(specs[k].seed);
+      const core::Perturbation expected =
+          seeded ? core::Perturbation::FromSeed(public_seed, kNoiseWeight,
+                                                init_rng, blend.clip_lo,
+                                                blend.clip_hi)
+                 : core::Perturbation::Random(Shape{kDim}, init_rng,
+                                              blend.clip_lo, blend.clip_hi);
+      const Tensor x = RandomInputs(2, 300 + k);
+      EXPECT_TRUE(SameBits(engine.Serve(k, x),
+                           core::DualLogits(global->model(), x,
+                                            expected.tensor(), opts.blend)))
+          << "client " << k;
+      fl::ClientState st;
+      EXPECT_FALSE(store.PeekState(k, st)) << "client " << k;
+      const fl::ClientStore::Handle h = store.Materialize(k);
+      EXPECT_TRUE(SameBits(h->ExportState().tensors.front(),
+                           expected.tensor()))
+          << "client " << k;
+    }
+    EXPECT_EQ(engine.stats().t_misses, specs.size());
+  }
+}
+
 TEST(ServeEngine, FusedBatchBitIdenticalToSingleRequests) {
   // Many clients' rows fused into one forward must answer every request
   // with the same bits as serving each request alone (streaming-GEMM model,
