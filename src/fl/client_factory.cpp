@@ -4,44 +4,44 @@
 
 namespace cip::fl {
 
-std::unique_ptr<core::CipClient> MakeCipClient(const ClientSpec& spec) {
+std::unique_ptr<core::CipClient> MakeCipClient(ClientSpec spec) {
   CIP_CHECK_MSG(spec.kind == ClientKind::kCip,
                 "MakeCipClient requires ClientKind::kCip");
-  core::CipConfig cfg = spec.cip;
+  core::CipConfig cfg = std::move(spec.cip);
   cfg.train = spec.train;
-  return std::make_unique<core::CipClient>(spec.model, spec.data, cfg,
-                                           spec.seed);
+  return std::make_unique<core::CipClient>(spec.model, std::move(spec.data),
+                                           std::move(cfg), spec.seed);
 }
 
-std::unique_ptr<ClientBase> MakeClient(const ClientSpec& spec) {
+std::unique_ptr<ClientBase> MakeClient(ClientSpec spec) {
   switch (spec.kind) {
     case ClientKind::kLegacy:
-      return std::make_unique<LegacyClient>(spec.model, spec.data, spec.train,
-                                            spec.seed);
+      return std::make_unique<LegacyClient>(spec.model, std::move(spec.data),
+                                            spec.train, spec.seed);
     case ClientKind::kCip:
-      return MakeCipClient(spec);
+      return MakeCipClient(std::move(spec));
     case ClientKind::kDpSgd:
       return std::make_unique<defenses::DpSgdClient>(
-          spec.model, spec.data, spec.train, spec.dp, spec.seed);
+          spec.model, std::move(spec.data), spec.train, spec.dp, spec.seed);
     case ClientKind::kHdp:
       return std::make_unique<defenses::HdpClient>(
-          spec.model, spec.data, spec.train, spec.dp, spec.seed,
+          spec.model, std::move(spec.data), spec.train, spec.dp, spec.seed,
           spec.hdp_feature_boost);
     case ClientKind::kAdvReg:
       CIP_CHECK_MSG(!spec.reference.empty(),
                     "ClientKind::kAdvReg needs ClientSpec.reference");
-      return std::make_unique<defenses::ArClient>(spec.model, spec.data,
-                                                  spec.reference, spec.train,
-                                                  spec.ar, spec.seed);
+      return std::make_unique<defenses::ArClient>(
+          spec.model, std::move(spec.data), std::move(spec.reference),
+          spec.train, spec.ar, spec.seed);
     case ClientKind::kMixupMmd:
       CIP_CHECK_MSG(!spec.reference.empty(),
                     "ClientKind::kMixupMmd needs ClientSpec.reference");
       return std::make_unique<defenses::MixupMmdClient>(
-          spec.model, spec.data, spec.reference, spec.train, spec.mm,
-          spec.seed);
+          spec.model, std::move(spec.data), std::move(spec.reference),
+          spec.train, spec.mm, spec.seed);
     case ClientKind::kRelaxLoss:
       return std::make_unique<defenses::RelaxLossClient>(
-          spec.model, spec.data, spec.train, spec.rl, spec.seed);
+          spec.model, std::move(spec.data), spec.train, spec.rl, spec.seed);
   }
   CIP_CHECK_MSG(false, "unknown ClientKind");
   return nullptr;

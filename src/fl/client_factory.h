@@ -57,12 +57,14 @@ struct ClientSpec {
   std::size_t hdp_feature_boost = 16;
 };
 
-/// Construct a client of spec.kind.
-std::unique_ptr<ClientBase> MakeClient(const ClientSpec& spec);
+/// Construct a client of spec.kind. The client takes over spec.data (and
+/// spec.reference), so pass a temporary or std::move the spec to build it
+/// without copying the datasets.
+std::unique_ptr<ClientBase> MakeClient(ClientSpec spec);
 
 /// Typed variant for callers that need CipClient-only accessors
 /// (perturbation(), BlendedDataLoss()). CHECK-fails unless kind == kCip.
-std::unique_ptr<core::CipClient> MakeCipClient(const ClientSpec& spec);
+std::unique_ptr<core::CipClient> MakeCipClient(ClientSpec spec);
 
 /// The initial broadcast state matching spec.kind's model architecture
 /// (dual-channel for kCip, random-feature net for kHdp, plain otherwise).

@@ -1,6 +1,7 @@
 #include "fl/serialize.h"
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 
 #include "common/check.h"
@@ -12,6 +13,8 @@ namespace {
 constexpr std::uint32_t kStateMagic = 0x43495053;   // "CIPS"
 constexpr std::uint32_t kTensorMagic = 0x43495054;  // "CIPT"
 constexpr std::uint32_t kVersion = 1;
+// Model-state header: magic + version + element count.
+constexpr std::size_t kStateHeaderBytes = 4 + 4 + 8;
 
 // Upper bound on deserialized element counts: a hostile or corrupt length
 // prefix must fail a check here, before we size a buffer and bulk-read into
@@ -30,6 +33,16 @@ std::uint64_t CheckedNumElements(const Shape& shape) {
   }
   CIP_CHECK_MSG(n <= kMaxElements,
                 "serialized tensor implausibly large: " << n << " elements");
+  return n;
+}
+
+/// The header checks every model-state reader makes, stream or span.
+std::uint64_t CheckStateHeader(std::uint32_t magic, std::uint32_t version,
+                               std::uint64_t n) {
+  CIP_CHECK_MSG(magic == kStateMagic, "not a CIP model-state stream");
+  CIP_CHECK_MSG(version == kVersion, "unsupported model-state version");
+  CIP_CHECK_MSG(n <= kMaxElements,
+                "model-state length prefix implausibly large: " << n);
   return n;
 }
 
@@ -86,13 +99,46 @@ void SaveModelState(const ModelState& state, std::ostream& os) {
 }
 
 ModelState LoadModelState(std::istream& is) {
-  CIP_CHECK_MSG(ReadU32(is) == kStateMagic, "not a CIP model-state stream");
-  CIP_CHECK_MSG(ReadU32(is) == kVersion, "unsupported model-state version");
-  const std::uint64_t n = ReadU64(is);
-  CIP_CHECK_MSG(n <= kMaxElements,
-                "model-state length prefix implausibly large: " << n);
+  const std::uint32_t magic = ReadU32(is);
+  const std::uint32_t version = ReadU32(is);
+  const std::uint64_t n = CheckStateHeader(magic, version, ReadU64(is));
   std::vector<float> values(static_cast<std::size_t>(n));
   ReadFloats(is, values);
+  return ModelState(std::move(values));
+}
+
+std::size_t ModelStateBytes(const ModelState& state) {
+  return kStateHeaderBytes + state.size() * sizeof(float);
+}
+
+void AppendModelState(std::string& out, const ModelState& state) {
+  const auto put = [&out](auto v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(kStateMagic);
+  put(kVersion);
+  put(std::uint64_t{state.size()});
+  const std::span<const float> v = state.values();
+  out.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(float));
+}
+
+ModelState ParseModelState(std::string_view bytes) {
+  CIP_CHECK_MSG(bytes.size() >= kStateHeaderBytes,
+                "truncated model-state header: " << bytes.size() << " bytes");
+  std::uint32_t magic = 0;
+  std::uint32_t version = 0;
+  std::uint64_t n = 0;
+  std::memcpy(&magic, bytes.data(), 4);
+  std::memcpy(&version, bytes.data() + 4, 4);
+  std::memcpy(&n, bytes.data() + 8, 8);
+  CheckStateHeader(magic, version, n);
+  bytes.remove_prefix(kStateHeaderBytes);
+  // n <= 2^31, so the byte count cannot overflow.
+  CIP_CHECK_MSG(bytes.size() == n * sizeof(float),
+                "model state claims " << n << " floats but " << bytes.size()
+                                      << " bytes remain");
+  std::vector<float> values(static_cast<std::size_t>(n));
+  if (n != 0) std::memcpy(values.data(), bytes.data(), bytes.size());
   return ModelState(std::move(values));
 }
 

@@ -1,18 +1,23 @@
 // Binary (de)serialization of model states and tensors — checkpoints for
-// long federated runs and persistent storage of a client's secret
-// perturbation. Format: magic, version, payload sizes, raw little-endian
-// float data. Errors (bad magic, bad version, truncation, hostile length
-// prefixes) throw cip::CheckError before any buffer is sized from untrusted
-// input. The byte-level primitives live in the wire namespace so higher
-// layers (fl/checkpoint) can compose framed formats without touching raw
-// bytes themselves; reinterpret_cast stays confined to serialize.cpp (lint
-// rule `reinterpret`). See docs/ROBUSTNESS.md for the checkpoint format
-// built on top.
+// long federated runs, persistent storage of a client's secret
+// perturbation, and the model states embedded in wire frames. Format:
+// magic, version, payload sizes, raw little-endian float data. Errors (bad
+// magic, bad version, truncation, hostile length prefixes) throw
+// cip::CheckError before any buffer is sized from untrusted input. A model
+// state has two readers that make the same checks: the stream one for files
+// and records, and a byte-span one for payloads already in memory. The
+// byte-level primitives live in the wire namespace so higher layers
+// (fl/checkpoint) can compose framed formats without touching raw bytes
+// themselves; reinterpret_cast stays confined to serialize.cpp (lint rule
+// `reinterpret`). See docs/ROBUSTNESS.md for the checkpoint format built on
+// top.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "fl/model_state.h"
 #include "tensor/tensor.h"
@@ -24,6 +29,17 @@ void SaveModelState(const ModelState& state, std::ostream& os);
 /// Read a ModelState written by SaveModelState; throws CheckError on bad
 /// magic/version, truncation, or an implausible length prefix.
 ModelState LoadModelState(std::istream& is);
+
+/// Bytes SaveModelState / AppendModelState write for `state`.
+std::size_t ModelStateBytes(const ModelState& state);
+/// Append the SaveModelState bytes of `state` to `out`, without a stream;
+/// reserve ModelStateBytes(state) first to write it in one pass.
+void AppendModelState(std::string& out, const ModelState& state);
+/// Parse a model state that fills `bytes` exactly. Checks the magic, the
+/// version, the element-count bound and that the count accounts for every
+/// remaining byte before the values are sized, so truncation and trailing
+/// bytes both throw CheckError.
+ModelState ParseModelState(std::string_view bytes);
 
 /// SaveModelState to a file; throws CheckError if the file cannot be opened.
 void SaveModelStateFile(const ModelState& state, const std::string& path);

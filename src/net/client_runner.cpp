@@ -14,9 +14,10 @@ namespace cip::net {
 namespace {
 
 /// Block until one complete frame is parsed (or the peer closes — nullopt).
-std::optional<Frame> ReadFrame(Socket& sock, FrameReader& reader) {
+/// The payload views `reader`'s buffer until the next read from it.
+std::optional<FrameView> ReadFrame(Socket& sock, FrameReader& reader) {
   while (true) {
-    if (std::optional<Frame> f = reader.Next()) return f;
+    if (std::optional<FrameView> f = reader.NextView()) return f;
     char buf[16384];
     const IoResult r = RecvSome(sock, std::span<char>(buf, sizeof(buf)));
     if (r.closed || r.error) return std::nullopt;
@@ -51,7 +52,7 @@ ClientRunResult RunClient(fl::ClientBase& client,
                                                       frame.size())),
                   "server closed the connection during kHello");
     reader = FrameReader();
-    std::optional<Frame> f = ReadFrame(sock, reader);
+    const std::optional<FrameView> f = ReadFrame(sock, reader);
     CIP_CHECK_MSG(f.has_value(), "server closed the connection after kHello");
     if (f->type == MsgType::kBusy) {
       const BusyMsg busy = DecodeBusy(f->payload);
@@ -74,7 +75,7 @@ ClientRunResult RunClient(fl::ClientBase& client,
   CIP_CHECK_MSG(welcomed, "no kWelcome received");
 
   while (true) {
-    const std::optional<Frame> f = ReadFrame(sock, reader);
+    const std::optional<FrameView> f = ReadFrame(sock, reader);
     CIP_CHECK_MSG(f.has_value(), "server vanished mid-run");
     switch (f->type) {
       case MsgType::kRound: {
@@ -105,8 +106,7 @@ ClientRunResult RunClient(fl::ClientBase& client,
         break;
       }
       case MsgType::kFinal: {
-        const FinalMsg fin = DecodeFinal(f->payload);
-        result.final_global = fin.global;
+        result.final_global = DecodeFinal(f->payload).global;
         result.finished = true;
         return result;
       }

@@ -1,7 +1,7 @@
 #include "net/frame.h"
 
 #include <bit>
-#include <sstream>
+#include <utility>
 
 #include "common/check.h"
 #include "fl/serialize.h"
@@ -10,12 +10,12 @@ namespace cip::net {
 
 namespace {
 
-/// Bounds-checked read cursor over a payload string. Every Take* CHECK-fails
-/// on truncation, so a short or trailing-garbage payload can never yield a
-/// silently wrong value — the wire twin of fl/serialize's stream readers.
+/// Bounds-checked read cursor over a payload. Every Take* CHECK-fails on
+/// truncation, so a short or trailing-garbage payload can never yield a
+/// silently wrong value — the wire twin of fl/serialize's readers.
 class Cursor {
  public:
-  explicit Cursor(const std::string& bytes) : bytes_(bytes) {}
+  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
 
   std::uint32_t TakeU32() {
     Need(4);
@@ -39,8 +39,8 @@ class Cursor {
 
   float TakeF32() { return std::bit_cast<float>(TakeU32()); }
 
-  /// The unread remainder of the payload (an embedded CIPS stream).
-  std::string Rest() { return bytes_.substr(pos_); }
+  /// The unread remainder of the payload (an embedded CIPS state).
+  std::string_view Rest() const { return bytes_.substr(pos_); }
 
   /// CHECK that exactly `n` unread bytes remain — an embedded array's
   /// claimed count must account for the rest of the payload precisely,
@@ -67,22 +67,44 @@ class Cursor {
                                                      << bytes_.size());
   }
 
-  const std::string& bytes_;
+  std::string_view bytes_;
   std::size_t pos_ = 0;
 };
 
-std::string SerializeState(const fl::ModelState& state) {
-  std::ostringstream os(std::ios::binary);
-  fl::SaveModelState(state, os);
-  return os.str();
+/// A frame buffer sized for `payload_len` payload bytes, header written:
+/// the caller appends exactly that many bytes. CHECK-fails past
+/// kDefaultMaxPayloadBytes.
+std::string StartFrame(MsgType type, std::size_t payload_len) {
+  CIP_CHECK_MSG(payload_len <= kDefaultMaxPayloadBytes,
+                "frame payload too large to encode: " << payload_len);
+  std::string out;
+  // CIP_ANALYZE_OK(hot-alloc): the frame's one allocation, sized up front
+  out.reserve(kFrameHeaderBytes + payload_len);
+  PutU32(out, kFrameMagic);
+  PutU32(out, kProtocolVersion);
+  PutU32(out, static_cast<std::uint32_t>(type));
+  PutU64(out, payload_len);
+  return out;
 }
 
-fl::ModelState ParseState(const std::string& bytes) {
-  std::istringstream is(bytes, std::ios::binary);
-  fl::ModelState state = fl::LoadModelState(is);
-  is.peek();
-  CIP_CHECK_MSG(is.eof(), "trailing bytes after embedded model state");
-  return state;
+/// Validate the frame header at the start of `bytes` (at least
+/// kFrameHeaderBytes long) and return its type and payload length.
+std::pair<MsgType, std::uint64_t> CheckHeader(std::string_view bytes,
+                                              std::uint64_t max_payload) {
+  Cursor c(bytes);
+  const std::uint32_t magic = c.TakeU32();
+  CIP_CHECK_MSG(magic == kFrameMagic,
+                "bad frame magic 0x" << std::hex << magic);
+  const std::uint32_t version = c.TakeU32();
+  CIP_CHECK_MSG(version == kProtocolVersion,
+                "unsupported protocol version " << version);
+  const std::uint32_t type = c.TakeU32();
+  CIP_CHECK_MSG(KnownMsgType(type), "unknown message type " << type);
+  const std::uint64_t len = c.TakeU64();
+  CIP_CHECK_MSG(len <= max_payload, "frame payload length "
+                                        << len << " exceeds the "
+                                        << max_payload << "-byte bound");
+  return {static_cast<MsgType>(type), len};
 }
 
 // Bounds for wire tensors (kQuery/kLogits), matching fl/serialize: rank in
@@ -149,86 +171,79 @@ void PutF32(std::string& out, float v) {
   PutU32(out, std::bit_cast<std::uint32_t>(v));
 }
 
-// CIP_HOT  (frame encode: header + payload splice for every outbound frame)
-std::string EncodeFrame(MsgType type, std::string payload) {
-  CIP_CHECK_MSG(payload.size() <= kDefaultMaxPayloadBytes,
-                "frame payload too large to encode: " << payload.size());
-  std::string out;
-  // CIP_ANALYZE_OK(hot-alloc): sized once from the already-built payload
-  out.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(out, kFrameMagic);
-  PutU32(out, kProtocolVersion);
-  PutU32(out, static_cast<std::uint32_t>(type));
-  PutU64(out, payload.size());
-  // CIP_ANALYZE_OK(hot-alloc): reserved above; single splice of the payload
-  out.append(payload);
+std::string EncodeHello(const HelloMsg& m) {
+  std::string out = StartFrame(MsgType::kHello, 8);
+  PutU64(out, m.client_id);
   return out;
 }
 
-std::string EncodeHello(const HelloMsg& m) {
-  std::string p;
-  PutU64(p, m.client_id);
-  return EncodeFrame(MsgType::kHello, std::move(p));
+std::string EncodeWelcome(const WelcomeMsg& m) {
+  std::string out = StartFrame(MsgType::kWelcome, 4 * 8);
+  PutU64(out, m.client_id);
+  PutU64(out, m.run_seed);
+  PutU64(out, m.total_rounds);
+  PutU64(out, m.fleet_size);
+  return out;
 }
 
-std::string EncodeWelcome(const WelcomeMsg& m) {
-  std::string p;
-  PutU64(p, m.client_id);
-  PutU64(p, m.run_seed);
-  PutU64(p, m.total_rounds);
-  PutU64(p, m.fleet_size);
-  return EncodeFrame(MsgType::kWelcome, std::move(p));
+std::string EncodeRound(std::uint64_t round, float lr_scale,
+                        const fl::ModelState& global) {
+  std::string out =
+      StartFrame(MsgType::kRound, 8 + 4 + fl::ModelStateBytes(global));
+  PutU64(out, round);
+  PutF32(out, lr_scale);
+  fl::AppendModelState(out, global);
+  return out;
 }
 
 std::string EncodeRound(const RoundMsg& m) {
-  std::string p;
-  PutU64(p, m.round);
-  PutF32(p, m.lr_scale);
-  p.append(SerializeState(m.global));
-  return EncodeFrame(MsgType::kRound, std::move(p));
+  return EncodeRound(m.round, m.lr_scale, m.global);
 }
 
 std::string EncodeUpdate(const UpdateMsg& m) {
-  std::string p;
-  PutU64(p, m.round);
-  PutU64(p, m.client_id);
-  PutF32(p, m.loss);
-  p.append(SerializeState(m.update));
-  return EncodeFrame(MsgType::kUpdate, std::move(p));
+  std::string out =
+      StartFrame(MsgType::kUpdate, 8 + 8 + 4 + fl::ModelStateBytes(m.update));
+  PutU64(out, m.round);
+  PutU64(out, m.client_id);
+  PutF32(out, m.loss);
+  fl::AppendModelState(out, m.update);
+  return out;
 }
 
-std::string EncodeFinal(const FinalMsg& m) {
-  return EncodeFrame(MsgType::kFinal, SerializeState(m.global));
+std::string EncodeFinal(const fl::ModelState& global) {
+  std::string out = StartFrame(MsgType::kFinal, fl::ModelStateBytes(global));
+  fl::AppendModelState(out, global);
+  return out;
 }
+
+std::string EncodeFinal(const FinalMsg& m) { return EncodeFinal(m.global); }
 
 std::string EncodeBusy(const BusyMsg& m) {
-  std::string p;
-  PutU32(p, m.retry_after_ms);
-  return EncodeFrame(MsgType::kBusy, std::move(p));
+  std::string out = StartFrame(MsgType::kBusy, 4);
+  PutU32(out, m.retry_after_ms);
+  return out;
 }
 
-std::string EncodeBye() { return EncodeFrame(MsgType::kBye, std::string()); }
+std::string EncodeBye() { return StartFrame(MsgType::kBye, 0); }
 
 // CIP_HOT  (serve wire encode: one frame per query on the serving fast path)
 std::string EncodeQuery(const QueryMsg& m) {
-  std::string p;
-  // CIP_ANALYZE_OK(hot-alloc): sized once per frame from the known tensor size
-  p.reserve(8 + 8 + 8 * m.inputs.rank() + 4 * m.inputs.size());
-  PutU64(p, m.client_id);
-  PutTensor(p, m.inputs);
-  return EncodeFrame(MsgType::kQuery, std::move(p));
+  std::string out = StartFrame(
+      MsgType::kQuery, 8 + 8 + 8 * m.inputs.rank() + 4 * m.inputs.size());
+  PutU64(out, m.client_id);
+  PutTensor(out, m.inputs);
+  return out;
 }
 
 // CIP_HOT  (serve wire encode: one frame per answered query)
 std::string EncodeLogits(const LogitsMsg& m) {
-  std::string p;
-  // CIP_ANALYZE_OK(hot-alloc): sized once per frame from the known tensor size
-  p.reserve(8 + 8 * m.logits.rank() + 4 * m.logits.size());
-  PutTensor(p, m.logits);
-  return EncodeFrame(MsgType::kLogits, std::move(p));
+  std::string out = StartFrame(
+      MsgType::kLogits, 8 + 8 * m.logits.rank() + 4 * m.logits.size());
+  PutTensor(out, m.logits);
+  return out;
 }
 
-HelloMsg DecodeHello(const std::string& payload) {
+HelloMsg DecodeHello(std::string_view payload) {
   Cursor c(payload);
   HelloMsg m;
   m.client_id = c.TakeU64();
@@ -236,7 +251,7 @@ HelloMsg DecodeHello(const std::string& payload) {
   return m;
 }
 
-WelcomeMsg DecodeWelcome(const std::string& payload) {
+WelcomeMsg DecodeWelcome(std::string_view payload) {
   Cursor c(payload);
   WelcomeMsg m;
   m.client_id = c.TakeU64();
@@ -247,32 +262,32 @@ WelcomeMsg DecodeWelcome(const std::string& payload) {
   return m;
 }
 
-RoundMsg DecodeRound(const std::string& payload) {
+RoundMsg DecodeRound(std::string_view payload) {
   Cursor c(payload);
   RoundMsg m;
   m.round = c.TakeU64();
   m.lr_scale = c.TakeF32();
-  m.global = ParseState(c.Rest());
+  m.global = fl::ParseModelState(c.Rest());
   return m;
 }
 
-UpdateMsg DecodeUpdate(const std::string& payload) {
+UpdateMsg DecodeUpdate(std::string_view payload) {
   Cursor c(payload);
   UpdateMsg m;
   m.round = c.TakeU64();
   m.client_id = c.TakeU64();
   m.loss = c.TakeF32();
-  m.update = ParseState(c.Rest());
+  m.update = fl::ParseModelState(c.Rest());
   return m;
 }
 
-FinalMsg DecodeFinal(const std::string& payload) {
+FinalMsg DecodeFinal(std::string_view payload) {
   FinalMsg m;
-  m.global = ParseState(payload);
+  m.global = fl::ParseModelState(payload);
   return m;
 }
 
-BusyMsg DecodeBusy(const std::string& payload) {
+BusyMsg DecodeBusy(std::string_view payload) {
   Cursor c(payload);
   BusyMsg m;
   m.retry_after_ms = c.TakeU32();
@@ -281,7 +296,7 @@ BusyMsg DecodeBusy(const std::string& payload) {
 }
 
 // CIP_HOT  (serve wire decode: validates every count before sizing anything)
-QueryMsg DecodeQuery(const std::string& payload) {
+QueryMsg DecodeQuery(std::string_view payload) {
   Cursor c(payload);
   QueryMsg m;
   m.client_id = c.TakeU64();
@@ -291,7 +306,7 @@ QueryMsg DecodeQuery(const std::string& payload) {
 }
 
 // CIP_HOT  (serve wire decode: validates every count before sizing anything)
-LogitsMsg DecodeLogits(const std::string& payload) {
+LogitsMsg DecodeLogits(std::string_view payload) {
   Cursor c(payload);
   LogitsMsg m;
   m.logits = TakeTensor(c, /*min_rank=*/2);  // [rows, classes]
@@ -303,43 +318,32 @@ LogitsMsg DecodeLogits(const std::string& payload) {
 
 // CIP_HOT  (frame decode: every inbound byte is buffered through Feed)
 void FrameReader::Feed(std::string_view bytes) {
-  // CIP_ANALYZE_OK(hot-alloc): buffer growth is bounded by header + max_payload (Next() drains)
+  // Drop every frame consumed since the last Feed in one move.
+  buf_.erase(0, pos_);
+  pos_ = 0;
+  // CIP_ANALYZE_OK(hot-alloc): buffer growth is bounded by header + max_payload (NextView drains)
   buf_.append(bytes);
   // Validate the header eagerly: corrupt input fails at the first bad
   // header, before its claimed payload occupies the buffer.
-  if (buf_.size() >= kFrameHeaderBytes) {
-    Cursor c(buf_);
-    const std::uint32_t magic = c.TakeU32();
-    CIP_CHECK_MSG(magic == kFrameMagic,
-                  "bad frame magic 0x" << std::hex << magic);
-    const std::uint32_t version = c.TakeU32();
-    CIP_CHECK_MSG(version == kProtocolVersion,
-                  "unsupported protocol version " << version);
-    const std::uint32_t type = c.TakeU32();
-    CIP_CHECK_MSG(KnownMsgType(type), "unknown message type " << type);
-    const std::uint64_t len = c.TakeU64();
-    CIP_CHECK_MSG(len <= max_payload_,
-                  "frame payload length " << len << " exceeds the "
-                                          << max_payload_ << "-byte bound");
-  }
+  if (buf_.size() >= kFrameHeaderBytes) CheckHeader(buf_, max_payload_);
 }
 
-// CIP_HOT  (frame decode: yields one parsed frame per complete wire frame)
+// CIP_HOT  (frame decode: the server reads every frame in place through here)
+std::optional<FrameView> FrameReader::NextView() {
+  const std::string_view rest = std::string_view(buf_).substr(pos_);
+  if (rest.size() < kFrameHeaderBytes) return std::nullopt;
+  // Re-checked here, not only in Feed: a chunk can hold several frames.
+  const auto [type, len] = CheckHeader(rest, max_payload_);
+  if (rest.size() - kFrameHeaderBytes < len) return std::nullopt;
+  pos_ += kFrameHeaderBytes + static_cast<std::size_t>(len);
+  return FrameView{type, rest.substr(kFrameHeaderBytes,
+                                     static_cast<std::size_t>(len))};
+}
+
 std::optional<Frame> FrameReader::Next() {
-  if (buf_.size() < kFrameHeaderBytes) return std::nullopt;
-  Cursor c(buf_);
-  c.TakeU32();  // magic — validated in Feed
-  c.TakeU32();  // version — validated in Feed
-  const std::uint32_t type = c.TakeU32();
-  const std::uint64_t len = c.TakeU64();  // bounded in Feed
-  if (buf_.size() < kFrameHeaderBytes + len) return std::nullopt;
-  Frame f;
-  f.type = static_cast<MsgType>(type);
-  // CIP_ANALYZE_OK(hot-alloc): length validated against max_payload in Feed
-  f.payload = buf_.substr(kFrameHeaderBytes, static_cast<std::size_t>(len));
-  // CIP_ANALYZE_OK(hot-alloc): drains the consumed frame from the buffer
-  buf_.erase(0, kFrameHeaderBytes + static_cast<std::size_t>(len));
-  return f;
+  const std::optional<FrameView> v = NextView();
+  if (!v) return std::nullopt;
+  return Frame{v->type, std::string(v->payload)};
 }
 
 }  // namespace cip::net

@@ -8,10 +8,17 @@
 // and every count/offset is validated before anything is sized from it —
 // the same hostile-input discipline as the "CIPS"/"CIPT"/"CIPH"/"CIPR"
 // loaders in fl/serialize and fl/checkpoint. Model payloads ARE the
-// fl/serialize ModelState stream ("CIPS" magic and all), so the wire format
-// inherits that loader's validation instead of re-implementing it. The full
-// spec — message payloads, the round state machine, versioning rules, and
-// the hostile-peer threat model — lives in docs/PROTOCOL.md.
+// fl/serialize ModelState layout ("CIPS" magic and all): encoders append it
+// with fl::AppendModelState, and decoders parse it in place with
+// fl::ParseModelState, which shares its header checks with the stream
+// loader and also requires the element count to fill the payload exactly.
+// The full spec — message payloads, the round state machine, versioning
+// rules, and the hostile-peer threat model — lives in docs/PROTOCOL.md.
+//
+// Every encoder sizes its frame first and writes header, fields and model
+// state into one reserved buffer. Decoders take a std::string_view, so the
+// server decodes straight from FrameReader's buffer (NextView) without
+// copying a payload out first.
 //
 // The byte-level primitives here use shift arithmetic, not casts: the
 // `reinterpret` lint rule keeps reinterpret_cast out of this layer entirely.
@@ -25,6 +32,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "fl/model_state.h"
 #include "tensor/tensor.h"
@@ -67,6 +75,13 @@ bool KnownMsgType(std::uint32_t t);
 struct Frame {
   MsgType type = MsgType::kBye;
   std::string payload;
+};
+
+/// One parsed frame whose payload still lives in the FrameReader's buffer
+/// (see FrameReader::NextView for how long the view stays valid).
+struct FrameView {
+  MsgType type = MsgType::kBye;
+  std::string_view payload;
 };
 
 // --- typed message payloads -------------------------------------------------
@@ -137,19 +152,23 @@ void PutU64(std::string& out, std::uint64_t v);
 /// Append a float as the little-endian bytes of its IEEE-754 bit pattern.
 void PutF32(std::string& out, float v);
 
-/// Wrap a payload in a v1 frame header. CHECK-fails if the payload exceeds
-/// kDefaultMaxPayloadBytes (an encoder producing an unparseable frame is a
-/// programming error, not a peer fault).
-std::string EncodeFrame(MsgType type, std::string payload);
-
-/// Encode each typed message as a complete frame, ready to send.
+/// Encode each typed message as a complete frame, ready to send. Every
+/// encoder CHECK-fails if its payload would exceed kDefaultMaxPayloadBytes
+/// (an encoder producing an unparseable frame is a programming error, not a
+/// peer fault).
 std::string EncodeHello(const HelloMsg& m);
 /// Encode a kWelcome frame.
 std::string EncodeWelcome(const WelcomeMsg& m);
+/// Encode a kRound frame from its fields, reading `global` in place — the
+/// round engine broadcasts its global without copying it into a RoundMsg.
+std::string EncodeRound(std::uint64_t round, float lr_scale,
+                        const fl::ModelState& global);
 /// Encode a kRound frame (model serialized via fl/serialize).
 std::string EncodeRound(const RoundMsg& m);
 /// Encode a kUpdate frame (model serialized via fl/serialize).
 std::string EncodeUpdate(const UpdateMsg& m);
+/// Encode a kFinal frame carrying `global`, read in place.
+std::string EncodeFinal(const fl::ModelState& global);
 /// Encode a kFinal frame.
 std::string EncodeFinal(const FinalMsg& m);
 /// Encode a kBusy frame.
@@ -166,51 +185,59 @@ std::string EncodeLogits(const LogitsMsg& m);
 /// Decode each typed message from a frame payload. Throws cip::CheckError on
 /// truncation at any byte, trailing bytes, or a hostile embedded stream —
 /// the caller treats any throw as a protocol violation by the peer.
-HelloMsg DecodeHello(const std::string& payload);
+HelloMsg DecodeHello(std::string_view payload);
 /// Decode a kWelcome payload.
-WelcomeMsg DecodeWelcome(const std::string& payload);
-/// Decode a kRound payload, validating the embedded CIPS stream.
-RoundMsg DecodeRound(const std::string& payload);
-/// Decode a kUpdate payload, validating the embedded CIPS stream.
-UpdateMsg DecodeUpdate(const std::string& payload);
-/// Decode a kFinal payload, validating the embedded CIPS stream.
-FinalMsg DecodeFinal(const std::string& payload);
+WelcomeMsg DecodeWelcome(std::string_view payload);
+/// Decode a kRound payload, validating the embedded CIPS state.
+RoundMsg DecodeRound(std::string_view payload);
+/// Decode a kUpdate payload, validating the embedded CIPS state.
+UpdateMsg DecodeUpdate(std::string_view payload);
+/// Decode a kFinal payload, validating the embedded CIPS state.
+FinalMsg DecodeFinal(std::string_view payload);
 /// Decode a kBusy payload.
-BusyMsg DecodeBusy(const std::string& payload);
+BusyMsg DecodeBusy(std::string_view payload);
 /// Decode a kQuery payload. Rank, every dim, the overflow-checked element
 /// count, and the exact remaining byte length are all validated BEFORE the
 /// input tensor is sized — a hostile batch count cannot drive an allocation.
-QueryMsg DecodeQuery(const std::string& payload);
+QueryMsg DecodeQuery(std::string_view payload);
 /// Decode a kLogits payload with the same count-before-sizing discipline.
-LogitsMsg DecodeLogits(const std::string& payload);
+LogitsMsg DecodeLogits(std::string_view payload);
 
 /// Incremental frame parser over a byte stream. Feed arbitrary chunks in
-/// arrival order; Next() yields complete frames. The header is validated
-/// (magic, version, known type, payload bound) before any payload buffer is
-/// sized, and the internal buffer never holds more than one maximal frame —
-/// a hostile peer's options are a clean parse or a thrown CheckError, never
-/// unbounded growth.
+/// arrival order; NextView() / Next() yield complete frames. Every frame's
+/// header is validated (magic, version, known type, payload bound) before
+/// its payload is used, and the internal buffer never holds more than one
+/// maximal frame beyond the last fed chunk — a hostile peer's options are a
+/// clean parse or a thrown CheckError, never unbounded growth.
 class FrameReader {
  public:
   /// `max_payload` bounds every accepted frame's payload length.
   explicit FrameReader(std::uint64_t max_payload = kDefaultMaxPayloadBytes)
       : max_payload_(max_payload) {}
 
-  /// Append received bytes. Throws cip::CheckError as soon as the buffered
-  /// prefix is provably not a valid frame (bad magic/version/type, payload
-  /// length past the bound) — corrupt input fails at the first bad header,
-  /// before any payload is buffered.
+  /// Append received bytes, first dropping the frames consumed since the
+  /// last Feed. Throws cip::CheckError as soon as the buffered prefix is
+  /// provably not a valid frame (bad magic/version/type, payload length past
+  /// the bound) — corrupt input fails at the first bad header, before any
+  /// payload is buffered.
   void Feed(std::string_view bytes);
 
-  /// The next complete frame, or nullopt until more bytes arrive.
+  /// The next complete frame, its payload a view into this reader's buffer,
+  /// or nullopt until more bytes arrive. The view stays valid until the next
+  /// Feed, Next or NextView call. Throws cip::CheckError on a bad header.
+  std::optional<FrameView> NextView();
+
+  /// NextView() with the payload copied out.
   std::optional<Frame> Next();
 
-  /// Bytes currently buffered (bounded by header + max_payload).
-  std::size_t buffered() const { return buf_.size(); }
+  /// Bytes buffered and not yet consumed (bounded by header + max_payload
+  /// plus the last fed chunk).
+  std::size_t buffered() const { return buf_.size() - pos_; }
 
  private:
   std::uint64_t max_payload_;
   std::string buf_;
+  std::size_t pos_ = 0;  ///< start of the first unconsumed frame in buf_
 };
 
 }  // namespace cip::net

@@ -24,13 +24,19 @@ AsyncRoundEngine::AsyncRoundEngine(fl::ModelState initial, Options options)
                 "lr_decay must be in (0, 1]");
 }
 
-std::string AsyncRoundEngine::RoundFrame() const {
-  RoundMsg m;
-  m.round = round_;
-  m.lr_scale =
-      fl::LrScaleAtRound(options_.lr_decay, options_.lr_decay_every, round_);
-  m.global = global_;
-  return EncodeRound(m);
+namespace {
+
+std::shared_ptr<const std::string> Shared(std::string frame) {
+  return std::make_shared<const std::string>(std::move(frame));
+}
+
+}  // namespace
+
+std::shared_ptr<const std::string> AsyncRoundEngine::RoundFrame() const {
+  return Shared(EncodeRound(
+      round_,
+      fl::LrScaleAtRound(options_.lr_decay, options_.lr_decay_every, round_),
+      global_));
 }
 
 std::vector<EngineSend> AsyncRoundEngine::OnJoin(std::uint64_t client_id) {
@@ -39,7 +45,7 @@ std::vector<EngineSend> AsyncRoundEngine::OnJoin(std::uint64_t client_id) {
     // An id outside the fleet, or one already connected, is a hostile or
     // confused peer — refuse without handing it any run state.
     ++stats_.protocol_errors;
-    out.push_back({client_id, std::string(), /*then_close=*/true});
+    out.push_back({client_id, nullptr, /*then_close=*/true});
     return out;
   }
   WelcomeMsg w;
@@ -47,7 +53,7 @@ std::vector<EngineSend> AsyncRoundEngine::OnJoin(std::uint64_t client_id) {
   w.run_seed = options_.run_seed;
   w.total_rounds = options_.total_rounds;
   w.fleet_size = options_.fleet_size;
-  out.push_back({client_id, EncodeWelcome(w), false});
+  out.push_back({client_id, Shared(EncodeWelcome(w)), false});
   // A (re)join revives the id: it is only settled again once this
   // incarnation receives kFinal or leaves.
   settled_.erase(client_id);
@@ -55,9 +61,8 @@ std::vector<EngineSend> AsyncRoundEngine::OnJoin(std::uint64_t client_id) {
     // Late joiner after the run ended: hand it the final aggregate so a
     // slow starter or retry-after-busy client still gets the result, then
     // part ways.
-    FinalMsg f;
-    f.global = global_;
-    out.push_back({client_id, EncodeFinal(f), /*then_close=*/true});
+    out.push_back({client_id, Shared(EncodeFinal(global_)),
+                   /*then_close=*/true});
     settled_.insert(client_id);
     return out;
   }
@@ -73,7 +78,7 @@ std::vector<EngineSend> AsyncRoundEngine::ProtocolError(
   if (live_.erase(client_id) != 0) settled_.insert(client_id);
   waiting_.erase(client_id);
   std::vector<EngineSend> out;
-  out.push_back({client_id, std::string(), /*then_close=*/true});
+  out.push_back({client_id, nullptr, /*then_close=*/true});
   // Losing the violator may have satisfied the close condition for everyone
   // else — same re-check as an ordinary disconnect.
   MaybeCloseRound(out);
@@ -81,7 +86,7 @@ std::vector<EngineSend> AsyncRoundEngine::ProtocolError(
 }
 
 std::vector<EngineSend> AsyncRoundEngine::OnUpdate(std::uint64_t client_id,
-                                                   const UpdateMsg& m) {
+                                                   UpdateMsg m) {
   if (live_.count(client_id) == 0) return ProtocolError(client_id);
   if (done_) {
     // An in-flight straggler finishing after the last round closed: its
@@ -91,10 +96,9 @@ std::vector<EngineSend> AsyncRoundEngine::OnUpdate(std::uint64_t client_id,
     live_.erase(client_id);
     waiting_.erase(client_id);
     settled_.insert(client_id);
-    FinalMsg f;
-    f.global = global_;
     std::vector<EngineSend> out;
-    out.push_back({client_id, EncodeFinal(f), /*then_close=*/true});
+    out.push_back({client_id, Shared(EncodeFinal(global_)),
+                   /*then_close=*/true});
     return out;
   }
   if (m.client_id != client_id) return ProtocolError(client_id);
@@ -109,7 +113,7 @@ std::vector<EngineSend> AsyncRoundEngine::OnUpdate(std::uint64_t client_id,
   ++stats_.updates_accepted;
   if (straggler) ++stats_.folded_stragglers;
   Buffered b;
-  b.update = m.update;
+  b.update = std::move(m.update);
   b.loss = m.loss;
   b.straggler = straggler;
   buffer_.emplace(client_id, std::move(b));
@@ -181,9 +185,8 @@ void AsyncRoundEngine::MaybeCloseRound(std::vector<EngineSend>& out) {
     // close now. In-flight stragglers stay registered: they receive kFinal
     // in reply to their late update (OnUpdate), so no peer ever writes
     // into an already-closed connection.
-    FinalMsg f;
-    f.global = global_;
-    const std::string frame = EncodeFinal(f);
+    const std::shared_ptr<const std::string> frame =
+        Shared(EncodeFinal(global_));
     for (const std::uint64_t id : was_waiting) {
       out.push_back({id, frame, /*then_close=*/true});
       live_.erase(id);
@@ -194,7 +197,7 @@ void AsyncRoundEngine::MaybeCloseRound(std::vector<EngineSend>& out) {
   ++round_;
   // Clients that delivered for the closed round advance together; in-flight
   // stragglers rejoin when their late update lands.
-  const std::string frame = RoundFrame();
+  const std::shared_ptr<const std::string> frame = RoundFrame();
   for (const std::uint64_t id : was_waiting) {
     out.push_back({id, frame, false});
   }

@@ -32,7 +32,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "fl/model_state.h"
@@ -44,9 +46,11 @@ namespace cip::net {
 /// One frame the caller must transmit, and whether to hang up afterwards.
 struct EngineSend {
   std::uint64_t client_id = 0;  ///< destination client
-  std::string frame;            ///< complete encoded frame (may be empty)
+  /// Complete encoded frame, or null for none. A broadcast is encoded once
+  /// and every recipient's send shares that one immutable buffer.
+  std::shared_ptr<const std::string> frame;
   /// Close the connection after sending (kFinal delivered, or the peer
-  /// committed a protocol violation and `frame` is empty).
+  /// committed a protocol violation and `frame` is null).
   bool then_close = false;
 };
 
@@ -88,11 +92,11 @@ class AsyncRoundEngine {
   std::vector<EngineSend> OnJoin(std::uint64_t client_id);
 
   /// A complete kUpdate arrived from `client_id` (already frame-decoded).
-  /// Folds it into the current round's buffer and closes the round when the
-  /// buffer reaches the close target. A violation — unknown/ghost sender,
-  /// id mismatch, a round from the future, a duplicate for one leg, or a
-  /// state size mismatch — drops the sender as a protocol error.
-  std::vector<EngineSend> OnUpdate(std::uint64_t client_id, const UpdateMsg& m);
+  /// Moves the update into the current round's buffer and closes the round
+  /// when the buffer reaches the close target. A violation — unknown/ghost
+  /// sender, id mismatch, a round from the future, a duplicate for one leg,
+  /// or a state size mismatch — drops the sender as a protocol error.
+  std::vector<EngineSend> OnUpdate(std::uint64_t client_id, UpdateMsg m);
 
   /// `client_id`'s connection is gone (drop == fl/fault.h kDropout). The
   /// close condition is re-evaluated: a round waiting only on the vanished
@@ -139,8 +143,9 @@ class AsyncRoundEngine {
   void MaybeCloseRound(std::vector<EngineSend>& out);
   /// Drop `client_id` for violating the protocol.
   std::vector<EngineSend> ProtocolError(std::uint64_t client_id);
-  /// The kRound frame for the current round (encodes the global once).
-  std::string RoundFrame() const;
+  /// The kRound frame for the current round, encoded once from global_ in
+  /// place; every recipient of the broadcast shares it.
+  std::shared_ptr<const std::string> RoundFrame() const;
 
   struct Buffered {
     fl::ModelState update;

@@ -15,7 +15,9 @@ struct CipServer::Connection {
 
   Socket sock;
   FrameReader reader;
-  std::string outbox;        ///< queued bytes; [out_off, size) still unsent
+  /// Bytes the socket has not taken yet; [out_off, size) still unsent. Its
+  /// capacity is kept across flushes, so it grows once to the largest tail.
+  std::string outbox;
   std::size_t out_off = 0;
   std::uint64_t client_id = 0;
   bool admitted = false;  ///< engine knows this peer as `client_id`
@@ -122,7 +124,7 @@ void CipServer::HandleReadable(Connection& c) {
     try {
       c.reader.Feed(std::string_view(buf, r.bytes));
       while (!c.dead && !c.closing) {
-        const std::optional<Frame> f = c.reader.Next();
+        const std::optional<FrameView> f = c.reader.NextView();
         if (!f) break;
         HandleFrame(c, *f);
       }
@@ -135,7 +137,7 @@ void CipServer::HandleReadable(Connection& c) {
   }
 }
 
-void CipServer::HandleFrame(Connection& c, const Frame& f) {
+void CipServer::HandleFrame(Connection& c, const FrameView& f) {
   switch (f.type) {
     case MsgType::kHello: {
       if (c.admitted) {
@@ -148,7 +150,7 @@ void CipServer::HandleFrame(Connection& c, const Frame& f) {
       // apply them to this connection directly.
       bool rejected = false;
       for (const EngineSend& s : sends) {
-        c.outbox.append(s.frame);
+        if (s.frame) Enqueue(c, *s.frame);
         if (s.then_close) {
           c.closing = true;
           rejected = true;
@@ -167,8 +169,7 @@ void CipServer::HandleFrame(Connection& c, const Frame& f) {
         Drop(c, /*count_protocol_error=*/true);
         return;
       }
-      const UpdateMsg update = DecodeUpdate(f.payload);
-      ApplySends(engine_->OnUpdate(c.client_id, update));
+      ApplySends(engine_->OnUpdate(c.client_id, DecodeUpdate(f.payload)));
       return;
     }
     case MsgType::kQuery: {
@@ -202,19 +203,37 @@ void CipServer::HandleFrame(Connection& c, const Frame& f) {
   }
 }
 
+// CIP_HOT  (broadcast fan-out: every frame the server sends passes through)
+void CipServer::Enqueue(Connection& c, std::string_view frame) {
+  if (c.dead) return;
+  // Nothing queued ahead of this frame: hand it to the socket directly. On
+  // a would-block or an error the rest is queued, and the FlushWrites that
+  // follows every Enqueue retries it and drops the peer on the error.
+  while (c.out_off == c.outbox.size() && !frame.empty()) {
+    const IoResult r =
+        SendSome(c.sock, std::span<const char>(frame.data(), frame.size()));
+    if (r.would_block || r.error || r.closed) break;
+    frame.remove_prefix(r.bytes);
+    stats_.bytes_sent += r.bytes;
+  }
+  // CIP_ANALYZE_OK(hot-alloc): only the unsent tail; capacity is reused
+  c.outbox.append(frame);
+}
+
 void CipServer::ApplySends(const std::vector<EngineSend>& sends) {
   for (const EngineSend& s : sends) {
     const auto it = by_id_.find(s.client_id);
     if (it == by_id_.end()) continue;  // addressee already gone
     Connection& c = *it->second;
+    const std::string_view frame = s.frame ? *s.frame : std::string_view();
     const std::size_t queued = c.outbox.size() - c.out_off;
-    if (queued + s.frame.size() > options_.max_send_buffer) {
+    if (queued + frame.size() > options_.max_send_buffer) {
       // Slow-consumer backpressure: a peer that stops draining broadcasts
       // is treated as gone rather than buffered without bound.
       Drop(c, /*count_protocol_error=*/false);
       continue;
     }
-    c.outbox.append(s.frame);
+    Enqueue(c, frame);
     if (s.then_close) {
       c.closing = true;
       c.admitted = false;
@@ -239,7 +258,7 @@ void CipServer::FlushQueries() {
       Drop(c, /*count_protocol_error=*/false);
       continue;
     }
-    c.outbox.append(frame);
+    Enqueue(c, frame);
     ++stats_.queries_answered;
     FlushWrites(c);
   }

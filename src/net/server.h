@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -137,9 +138,14 @@ class CipServer {
   void AcceptPending();
   /// Read whatever is available, feed the frame parser, dispatch frames.
   void HandleReadable(Connection& c);
-  /// Dispatch one parsed frame from connection `c` to the engine.
-  void HandleFrame(Connection& c, const Frame& f);
-  /// Queue engine-produced sends onto the addressed connections' outboxes.
+  /// Dispatch one parsed frame from connection `c` to the engine; `f`
+  /// views c's reader buffer.
+  void HandleFrame(Connection& c, const FrameView& f);
+  /// Send `frame` to `c`: straight from `frame` while c's outbox is empty,
+  /// queueing only the bytes the socket did not take. Follow it with
+  /// FlushWrites(c), which reports a send error and completes a close.
+  void Enqueue(Connection& c, std::string_view frame);
+  /// Send engine-produced frames to the addressed connections.
   void ApplySends(const std::vector<EngineSend>& sends);
   /// Run the step's coalesced ServeEngine::Flush and answer every pending
   /// kQuery with its logits slice.

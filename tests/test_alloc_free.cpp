@@ -248,6 +248,37 @@ TEST(AllocFree, MakingAClientToReadItsStateBuildsNoModel) {
   }
 }
 
+TEST(AllocFree, MakeClientTakesOverATemporarySpecsData) {
+  // A cold store builds each client from a fresh spec,
+  // MakeClient(spec_for(id)). The client takes that spec's dataset over, so
+  // a build from a temporary allocates exactly one tensor (the data's
+  // inputs) fewer than a build from an lvalue spec with the same content,
+  // whose dataset the client must copy.
+  Rng rng(29);
+  const data::SyntheticPurchase gen(data::Purchase50Like());
+  fl::ClientSpec spec;
+  spec.model.arch = nn::Arch::kMLP;
+  spec.model.input_shape = gen.SampleShape();
+  spec.model.num_classes = gen.config().num_classes;
+  spec.model.width = 16;
+  spec.model.seed = 3;
+  spec.data = gen.Sample(16, rng);
+  spec.seed = 9;
+  for (const fl::ClientKind kind :
+       {fl::ClientKind::kCip, fl::ClientKind::kLegacy}) {
+    spec.kind = kind;
+    std::uint64_t before = AllocCount();
+    (void)fl::MakeClient(spec);
+    const std::uint64_t from_lvalue = AllocCount() - before;
+    fl::ClientSpec temporary = spec;  // copied outside the counted region
+    before = AllocCount();
+    (void)fl::MakeClient(std::move(temporary));
+    const std::uint64_t from_temporary = AllocCount() - before;
+    EXPECT_EQ(from_temporary + 1, from_lvalue)
+        << (kind == fl::ClientKind::kCip ? "kCip" : "kLegacy");
+  }
+}
+
 TEST(AllocFree, ServeEngineSteadyStateIsAllocationFree) {
   // The serving acceptance gate: after one warmup flush at the largest
   // batch, a warm-t-cache ServeEngine performs ZERO element-buffer

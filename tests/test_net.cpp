@@ -14,8 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -37,6 +42,42 @@ using namespace cip;
 
 namespace {
 
+// Heap allocations of at least kLargeAllocBytes made by this binary. The
+// hostile-state test reads it around a decode that must throw: a float
+// buffer for its 1000-float state, or a copy of its payload, is that large,
+// while nothing a rejecting decoder needs is, so a count that does not move
+// proves neither was made.
+constexpr std::size_t kLargeAllocBytes = 3072;
+std::atomic<std::size_t> g_large_allocs{0};
+
+void* CountedAlloc(std::size_t n) noexcept {
+  if (n >= kLargeAllocBytes) {
+    g_large_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = CountedAlloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n);
+}
+// Not inlined: GCC would otherwise see free() meet operator new's pointers.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace {
+
 fl::ModelState SmallState(float base) {
   return fl::ModelState(std::vector<float>{base, base + 0.5f, -base, 2.0f});
 }
@@ -45,6 +86,16 @@ bool SameBits(const fl::ModelState& a, const fl::ModelState& b) {
   return a.size() == b.size() &&
          std::memcmp(a.values().data(), b.values().data(),
                      a.size() * sizeof(float)) == 0;
+}
+
+/// FNV-1a 64 of a byte string (golden-frame fingerprints).
+std::uint64_t Fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
 }
 
 /// Every frame the v1 protocol can emit, with distinctive field values.
@@ -139,6 +190,56 @@ TEST(NetFrame, RoundTripEveryMessageType) {
     EXPECT_EQ(reader.buffered(), 0u);
     EXPECT_NO_THROW(DecodeAs(type, f->payload));
   }
+}
+
+TEST(NetFrame, GoldenBytesOfEveryMessageType) {
+  // Length and FNV-1a 64 of every AllFrames() frame as the first protocol-v1
+  // encoder (payload through an ostringstream, then a header splice) wrote
+  // them. However the encoder builds a frame, these bytes never change.
+  struct Golden {
+    net::MsgType type;
+    std::size_t bytes;
+    std::uint64_t fnv;
+  };
+  const Golden golden[] = {
+      {net::MsgType::kHello, 28, 0xd89465a9473492c8ull},
+      {net::MsgType::kWelcome, 52, 0xbdfeac35ff56ebbfull},
+      {net::MsgType::kRound, 64, 0xfd1bf8713406f553ull},
+      {net::MsgType::kUpdate, 72, 0x384cf72769a348c8ull},
+      {net::MsgType::kFinal, 52, 0xcf230b5f1dc1781dull},
+      {net::MsgType::kBusy, 24, 0xa4fab9e6c3acac6eull},
+      {net::MsgType::kBye, 20, 0x5b381a703867e4a1ull},
+      {net::MsgType::kQuery, 76, 0x5bf211301eec53cbull},
+      {net::MsgType::kLogits, 60, 0x13eabc9d018a8565ull},
+  };
+  const auto frames = AllFrames();
+  ASSERT_EQ(frames.size(), std::size(golden));
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].first, golden[i].type) << "frame " << i;
+    EXPECT_EQ(frames[i].second.size(), golden[i].bytes) << "frame " << i;
+    EXPECT_EQ(Fnv1a64(frames[i].second), golden[i].fnv)
+        << "frame " << i << " fnv 0x" << std::hex
+        << Fnv1a64(frames[i].second);
+  }
+
+  // The same at a realistic size: a 1000-float global in a kRound.
+  std::vector<float> v(1000);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = 0.001f * static_cast<float>(i) - 0.3f;
+  }
+  net::RoundMsg round;
+  round.round = 4;
+  round.lr_scale = 0.25f;
+  round.global = fl::ModelState(std::move(v));
+  const std::string frame = net::EncodeRound(round);
+  EXPECT_EQ(frame.size(), 4048u);
+  EXPECT_EQ(Fnv1a64(frame), 0xa7958b01a988b53cull);
+  // The engine's in-place encoders write the same bytes as the messages.
+  EXPECT_EQ(net::EncodeRound(round.round, round.lr_scale, round.global),
+            frame);
+  net::FinalMsg fin;
+  fin.global = round.global;
+  EXPECT_EQ(net::EncodeFinal(round.global), net::EncodeFinal(fin));
 }
 
 TEST(NetFrame, TypedFieldsSurviveTheWire) {
@@ -279,22 +380,126 @@ TEST(NetFrame, OneByteFeedsReassembleAStream) {
 }
 
 TEST(NetFrame, HostileEmbeddedModelStateRejected) {
-  // A structurally valid kRound frame whose embedded CIPS stream lies about
-  // its element count must be rejected by the inherited serialize loader.
-  net::RoundMsg m;
-  m.round = 1;
-  m.lr_scale = 1.0f;
-  m.global = SmallState(1.0f);
-  net::FrameReader reader;
-  reader.Feed(net::EncodeRound(m));
-  const auto f = reader.Next();
-  ASSERT_TRUE(f.has_value());
-  std::string payload = f->payload;
-  // Corrupt one byte of the embedded stream's magic ("CIPS" starts right
-  // after the u64 round + f32 lr_scale = 12 bytes).
-  ASSERT_GT(payload.size(), 12u);
-  payload[12] = static_cast<char>(payload[12] ^ 0x5A);
-  EXPECT_THROW(net::DecodeRound(payload), CheckError);
+  // Every frame type that embeds a CIPS model state, crossed with every way
+  // that state's header can lie: magic, version, and an element count one
+  // off either way, one past the 2^31 bound, or 2^64 - 1. The typed decoder
+  // must throw on each, and on the count lies before any float buffer is
+  // sized (a 1000-float state, so that buffer would be 3996+ bytes).
+  const fl::ModelState state(std::vector<float>(1000, 0.5f));
+  net::RoundMsg round;
+  round.round = 1;
+  round.global = state;
+  net::UpdateMsg update;
+  update.round = 1;
+  update.client_id = 2;
+  update.update = state;
+  net::FinalMsg fin;
+  fin.global = state;
+  struct Carrier {
+    net::MsgType type;
+    std::string frame;
+    std::size_t state_at;  ///< offset of the CIPS header in the payload
+  };
+  const Carrier carriers[] = {
+      {net::MsgType::kRound, net::EncodeRound(round), 8 + 4},
+      {net::MsgType::kUpdate, net::EncodeUpdate(update), 8 + 8 + 4},
+      {net::MsgType::kFinal, net::EncodeFinal(fin), 0},
+  };
+  struct Lie {
+    const char* name;
+    std::size_t at;     ///< offset within the CIPS header
+    std::size_t width;  ///< bytes overwritten, little-endian
+    std::uint64_t value;
+    bool count;
+  };
+  const Lie lies[] = {
+      {"bad magic", 0, 4, 0x43495053u ^ 0x5Au, false},
+      {"bad version", 4, 4, 2, false},
+      {"count + 1", 8, 8, 1001, true},
+      {"count - 1", 8, 8, 999, true},
+      {"count 2^31 + 1", 8, 8, (std::uint64_t{1} << 31) + 1, true},
+      {"count 2^64 - 1", 8, 8, ~std::uint64_t{0}, true},
+  };
+  for (const Carrier& carrier : carriers) {
+    for (const Lie& lie : lies) {
+      std::string payload = carrier.frame.substr(net::kFrameHeaderBytes);
+      for (std::size_t b = 0; b < lie.width; ++b) {
+        payload[carrier.state_at + lie.at + b] =
+            static_cast<char>((lie.value >> (8 * b)) & 0xFF);
+      }
+      const std::size_t large_before = g_large_allocs.load();
+      EXPECT_THROW(DecodeAs(carrier.type, payload), CheckError)
+          << "type " << static_cast<unsigned>(carrier.type) << ", "
+          << lie.name;
+      if (lie.count) {
+        EXPECT_EQ(g_large_allocs.load(), large_before)
+            << "type " << static_cast<unsigned>(carrier.type) << ", "
+            << lie.name << ": a float buffer was sized from the lie";
+      }
+    }
+  }
+}
+
+TEST(NetFrame, NextViewMatchesNext) {
+  // NextView hands out payloads inside the reader's buffer and Next copies
+  // them out. Fed the same stream whole, a byte at a time, or in 7-byte
+  // pieces, both must yield every frame with its exact payload bytes and
+  // end with nothing buffered.
+  const auto frames = AllFrames();
+  std::string stream;
+  for (const auto& [type, bytes] : frames) stream += bytes;
+  for (const std::size_t piece :
+       {stream.size(), std::size_t{1}, std::size_t{7}}) {
+    net::FrameReader by_view;
+    net::FrameReader by_copy;
+    std::vector<std::pair<net::MsgType, std::string>> views, copies;
+    for (std::size_t at = 0; at < stream.size(); at += piece) {
+      const std::string_view chunk = std::string_view(stream).substr(at, piece);
+      by_view.Feed(chunk);
+      while (const auto f = by_view.NextView()) {
+        views.emplace_back(f->type, std::string(f->payload));
+      }
+      by_copy.Feed(chunk);
+      while (auto f = by_copy.Next()) {
+        copies.emplace_back(f->type, std::move(f->payload));
+      }
+    }
+    ASSERT_EQ(views.size(), frames.size()) << "piece " << piece;
+    ASSERT_EQ(copies.size(), frames.size()) << "piece " << piece;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_EQ(views[i].first, frames[i].first) << "piece " << piece;
+      EXPECT_EQ(copies[i].first, frames[i].first) << "piece " << piece;
+      const std::string payload =
+          frames[i].second.substr(net::kFrameHeaderBytes);
+      EXPECT_EQ(views[i].second, payload) << "piece " << piece;
+      EXPECT_EQ(copies[i].second, payload) << "piece " << piece;
+    }
+    EXPECT_EQ(by_view.buffered(), 0u) << "piece " << piece;
+    EXPECT_EQ(by_copy.buffered(), 0u) << "piece " << piece;
+  }
+}
+
+TEST(NetFrame, BadHeaderBehindAFrameInOneChunkRejected) {
+  // Feed checks the header at the front of its buffer; a frame that
+  // arrives behind another in the same chunk is checked when NextView
+  // reaches it, so no header check is skipped for it.
+  const std::string good = AllFrames()[0].second;  // kHello, 8-byte payload
+  const std::vector<std::pair<std::size_t, std::uint32_t>> lies = {
+      {0, 0xDEADBEEFu},                    // magic
+      {4, net::kProtocolVersion + 1},      // version
+      {8, 10},                             // type
+      {12, 1025},                          // payload length past the bound
+  };
+  for (const auto& [at, value] : lies) {
+    std::string bad = good;
+    for (std::size_t b = 0; b < 4; ++b) {
+      bad[at + b] = static_cast<char>((value >> (8 * b)) & 0xFF);
+    }
+    net::FrameReader reader(/*max_payload=*/1024);
+    reader.Feed(good + bad);
+    ASSERT_TRUE(reader.NextView().has_value()) << "header offset " << at;
+    EXPECT_THROW(reader.NextView(), CheckError) << "header offset " << at;
+  }
 }
 
 TEST(NetFrame, HostileQueryBatchCountRejectedBeforeSizing) {
@@ -360,9 +565,9 @@ net::UpdateMsg Update(std::uint64_t id, std::uint64_t round, float base) {
 bool Sent(const std::vector<net::EngineSend>& sends, std::uint64_t id,
           net::MsgType type) {
   for (const net::EngineSend& s : sends) {
-    if (s.client_id != id || s.frame.empty()) continue;
+    if (s.client_id != id || !s.frame) continue;
     net::FrameReader r;
-    r.Feed(s.frame);
+    r.Feed(*s.frame);
     // A send may carry several concatenated frames; scan them all.
     while (auto f = r.Next()) {
       if (f->type == type) return true;
@@ -381,12 +586,42 @@ TEST(AsyncRoundEngine, JoinHandsWelcomeAndCurrentRound) {
   EXPECT_EQ(eng.live_clients(), 1u);
 }
 
+TEST(AsyncRoundEngine, BroadcastSharesOneFrame) {
+  // A round close encodes its broadcast once: the kRound sends of one close
+  // all point at one buffer, and so do the kFinal sends of the last close.
+  net::AsyncRoundEngine eng(SmallState(1.0f), EngineOpts(2, 3, 3));
+  for (std::uint64_t id : {0, 1, 2}) eng.OnJoin(id);
+  std::vector<net::EngineSend> rounds;
+  for (std::uint64_t id : {0, 1, 2}) {
+    rounds = eng.OnUpdate(id, Update(id, 1, 1.0f + static_cast<float>(id)));
+  }
+  ASSERT_EQ(rounds.size(), 3u);
+  ASSERT_NE(rounds[0].frame, nullptr);
+  for (const net::EngineSend& s : rounds) {
+    EXPECT_TRUE(Sent({s}, s.client_id, net::MsgType::kRound));
+    EXPECT_EQ(s.frame, rounds[0].frame) << "client " << s.client_id;
+  }
+
+  std::vector<net::EngineSend> finals;
+  for (std::uint64_t id : {0, 1, 2}) {
+    finals = eng.OnUpdate(id, Update(id, 2, 1.0f + static_cast<float>(id)));
+  }
+  ASSERT_TRUE(eng.done());
+  ASSERT_EQ(finals.size(), 3u);
+  ASSERT_NE(finals[0].frame, nullptr);
+  for (const net::EngineSend& s : finals) {
+    EXPECT_TRUE(Sent({s}, s.client_id, net::MsgType::kFinal));
+    EXPECT_TRUE(s.then_close);
+    EXPECT_EQ(s.frame, finals[0].frame) << "client " << s.client_id;
+  }
+}
+
 TEST(AsyncRoundEngine, RejectsOutOfFleetAndDuplicateIds) {
   net::AsyncRoundEngine eng(SmallState(1.0f), EngineOpts(2, 2, 2));
   auto bad = eng.OnJoin(2);  // ids are [0, fleet_size)
   ASSERT_EQ(bad.size(), 1u);
   EXPECT_TRUE(bad[0].then_close);
-  EXPECT_TRUE(bad[0].frame.empty());
+  EXPECT_EQ(bad[0].frame, nullptr);
   eng.OnJoin(0);
   auto dup = eng.OnJoin(0);
   ASSERT_EQ(dup.size(), 1u);
@@ -620,8 +855,9 @@ TEST(AsyncRoundEngine, LrScaleMatchesInProcessSchedule) {
   std::vector<net::EngineSend> sends = eng.OnJoin(0);
   for (std::uint64_t round = 1; round <= kRounds; ++round) {
     for (const net::EngineSend& send : sends) {
+      if (!send.frame) continue;
       net::FrameReader reader;
-      reader.Feed(send.frame);
+      reader.Feed(*send.frame);
       while (auto f = reader.Next()) {
         if (f->type == net::MsgType::kRound) {
           wire.push_back(net::DecodeRound(f->payload).lr_scale);
